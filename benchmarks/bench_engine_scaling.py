@@ -170,6 +170,7 @@ def test_process_sharded_convergence_scaling(benchmark):
     at any process count); the >= 2x wall-clock floor is asserted only on
     machines with at least 4 cores and outside REPRO_BENCH_RELAX runs.
     """
+    from repro.engine import ExecutionSettings
     from repro.experiments import convergence_sweep
     from repro.experiments.sweeps import square_points
 
@@ -178,13 +179,19 @@ def test_process_sharded_convergence_scaling(benchmark):
         + square_points("cordalis", [5, 6, 7])
         + square_points("serpentinus", [5, 6, 7])
     )
-    kwargs = dict(replicas=2048, shard_size=256, batch_size=256, seed=7)
+    geometry = dict(shard_size=256, batch_size=256)
 
     def single():
-        return convergence_sweep(points, **kwargs, processes=1)
+        return convergence_sweep(
+            points, replicas=2048, seed=7,
+            settings=ExecutionSettings(processes=1, **geometry),
+        )
 
     def sharded():
-        return convergence_sweep(points, **kwargs, processes=4)
+        return convergence_sweep(
+            points, replicas=2048, seed=7,
+            settings=ExecutionSettings(processes=4, **geometry),
+        )
 
     ref, out = single(), sharded()  # warm both paths + parity cross-check
     assert np.array_equal(ref, out)

@@ -25,13 +25,13 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 if TYPE_CHECKING:  # runtime import stays lazy: io.serialize imports core
-    from ..io.ledger import LedgerScope, RunLedger
+    from ..io.ledger import LedgerScope
     from ..io.witnessdb import WitnessDB
 
 from .. import obs
-from ..engine.backends import KernelBackend, resolve_backend_ref
+from ..engine.backends import resolve_backend_ref
 from ..engine.batch import DYNAMICS_VERSION, run_batch
-from ..engine.context import ExecutionSettings, resolve_settings
+from ..engine.context import BackendSetting, ExecutionSettings, LedgerSetting
 from ..engine.plans import ExecutionPlan, resolve_plan
 from ..engine.parallel import (
     DEFAULT_SHARD_RETRIES,
@@ -48,7 +48,6 @@ from ..rules.smp import SMPRule
 from ..topology.base import Topology
 
 __all__ = [
-    "BackendSpec",
     "SearchOutcome",
     "exhaustive_dynamo_search",
     "exhaustive_min_dynamo_size",
@@ -56,27 +55,9 @@ __all__ = [
     "count_configs",
 ]
 
-#: how callers name a kernel backend: a registry name, an instance, or
-#: ``None``/"auto" for the default.  Bitwise-interchangeable by contract,
-#: so the choice is recorded in witness provenance but never enters a
-#: search definition (cache keys are backend-independent).
-BackendSpec = Union[str, KernelBackend, None]
-
-#: how callers select an execution plan (:mod:`repro.engine.plans`):
-#: an :class:`~repro.engine.plans.ExecutionPlan` or ``None`` for the
-#: default.  Like backends, plans are bitwise-invisible — they never
-#: enter search definitions or witness ids.
-PlanSpec = Optional[ExecutionPlan]
-
-#: how callers name a run ledger (:mod:`repro.io.ledger`): a live
-#: :class:`~repro.io.ledger.RunLedger` or a path to one.  Like the
-#: witness db, the ledger never changes results — only whether completed
-#: work is replayed or recomputed.
-LedgerSpec = Union["RunLedger", str, "Path", None]
-
 
 def _open_top_ledger(
-    ledger: LedgerSpec,
+    ledger: LedgerSetting,
     resume: bool,
     definition: Optional[dict],
 ) -> Optional["LedgerScope"]:
@@ -165,6 +146,19 @@ def count_configs(n_vertices: int, seed_size: int, num_colors: int) -> int:
     return comb(n_vertices, seed_size) * (num_colors - 1) ** (
         n_vertices - seed_size
     )
+
+
+def _validate_seed_size(seed_size: int, n_vertices: int) -> None:
+    """Refuse a seed that cannot be placed on the topology.
+
+    An oversized seed would otherwise enumerate nothing (and certify an
+    "exhausted" empty space) or fill every vertex with the target color.
+    """
+    if isinstance(seed_size, bool) or not 1 <= seed_size <= n_vertices:
+        raise ValueError(
+            f"seed_size must be in 1..{n_vertices} (the topology's vertex "
+            f"count), got {seed_size!r}"
+        )
 
 
 #: witnesses recorded into a database per search call; searches can find
@@ -302,42 +296,36 @@ def exhaustive_dynamo_search(
     rule: Optional[Rule] = None,
     max_rounds: Optional[int] = None,
     max_configs: int = 20_000_000,
-    batch_size: int = 8192,
     stop_at_first: bool = True,
     monotone_only: bool = False,
     db: Optional["WitnessDB"] = None,
-    backend: BackendSpec = None,
-    plan: PlanSpec = None,
-    ledger: LedgerSpec = None,
-    resume: bool = False,
     ledger_scope: Optional["LedgerScope"] = None,
-    settings: Optional[ExecutionSettings] = None,
+    settings: ExecutionSettings = ExecutionSettings(),
 ) -> SearchOutcome:
     """Enumerate every placement of an s-vertex k-seed together with every
     complement coloring over the remaining ``num_colors - 1`` colors.
 
     ``settings`` (an :class:`~repro.engine.context.ExecutionSettings`)
-    is the preferred way to configure execution; the individual
-    ``batch_size``/``backend``/``plan``/``ledger``/``resume`` keywords
-    are **deprecated** — still honoured, folded into a settings object
-    internally, but mixing them with ``settings=`` raises
-    :class:`ValueError`.  The enumeration is one unit of work, so
-    ``settings.processes`` is ignored (bitwise-invisible anyway) while
-    a ``settings.shard_size`` is refused; ``settings.cancel`` is
-    checked between batches and raises
-    :class:`~repro.engine.parallel.RunCancelled`.
+    configures execution.  ``settings.batch_size`` (default 8192) is the
+    block of configurations per engine call.  The enumeration is one
+    unit of work, so ``settings.processes`` is ignored (bitwise-invisible
+    anyway) while a ``settings.shard_size`` is refused;
+    ``settings.cancel`` is checked between batches and raises
+    :class:`~repro.engine.parallel.RunCancelled`.  ``seed_size`` must lie
+    in ``1..topo.num_vertices``; anything else raises
+    :class:`ValueError` before the db or ledger is touched.
 
-    ``ledger`` opens a :class:`~repro.io.ledger.RunLedger` run for this
-    search (``resume=True`` re-opens a previous run); the whole
-    enumeration is one unit of work, committed on completion and
+    ``settings.ledger`` opens a :class:`~repro.io.ledger.RunLedger` run
+    for this search (``settings.resume`` re-opens a previous run); the
+    whole enumeration is one unit of work, committed on completion and
     replayed bitwise on resume.  ``ledger_scope`` is the nested form a
     parent driver (the census) passes instead — mutually exclusive with
-    ``ledger``.
+    ``settings.ledger``.
 
-    ``backend`` selects the kernel backend batches run under
+    ``settings.backend`` selects the kernel backend batches run under
     (:mod:`repro.engine.backends`); backends are bitwise-interchangeable,
     so it affects speed only — the name lands in witness provenance but
-    never in the cached search definition.  ``plan`` selects the
+    never in the cached search definition.  ``settings.plan`` selects the
     execution plan (:mod:`repro.engine.plans`: stepper caching +
     adaptive round escalation); plans are likewise bitwise-invisible and
     excluded from the definition.
@@ -358,22 +346,15 @@ def exhaustive_dynamo_search(
     silently skip the database.
     """
     rule = rule if rule is not None else SMPRule()
-    settings = resolve_settings(
-        settings,
-        batch_size=(batch_size, 8192),
-        backend=(backend, None),
-        plan=(plan, None),
-        ledger=(ledger, None),
-        resume=(resume, False),
-    )
     settings.reject("exhaustive_dynamo_search", "shard_size")
-    batch_size = settings.resolved_batch_size(8192)
+    batch_size = validate_positive(
+        settings.resolved_batch_size(8192), flag="batch_size"
+    )
     ledger = settings.ledger
-    resume = settings.resume
-    validate_positive(batch_size, flag="batch_size")
     backend_name, backend_ref = resolve_backend_ref(settings.backend)
     plan = resolve_plan(settings.plan)
     n = topo.num_vertices
+    _validate_seed_size(seed_size, n)
     total = count_configs(n, seed_size, num_colors)
     if total > max_configs:
         raise ValueError(
@@ -405,7 +386,7 @@ def exhaustive_dynamo_search(
             "batch_size": int(batch_size),
             "max_rounds": int(max_rounds),
         }
-    top_scope = _open_top_ledger(ledger, resume, definition)
+    top_scope = _open_top_ledger(ledger, settings.resume, definition)
     if top_scope is not None:
         ledger_scope = top_scope
     if db is not None and definition is not None:
@@ -517,12 +498,9 @@ def exhaustive_min_dynamo_size(
     max_seed_size: Optional[int] = None,
     monotone_only: bool = True,
     max_configs: int = 20_000_000,
-    batch_size: int = 8192,
     db: Optional["WitnessDB"] = None,
-    backend: BackendSpec = None,
-    plan: PlanSpec = None,
     ledger_scope: Optional["LedgerScope"] = None,
-    settings: Optional[ExecutionSettings] = None,
+    settings: ExecutionSettings = ExecutionSettings(),
 ) -> Tuple[Optional[int], List[SearchOutcome]]:
     """Smallest seed size admitting a (monotone) k-dynamo, by exhaustion.
 
@@ -531,15 +509,8 @@ def exhaustive_min_dynamo_size(
     forwarded to every per-size :func:`exhaustive_dynamo_search`, so a
     populated witness database short-circuits the sizes that previously
     produced witnesses (witness-free sizes always re-run: absence is not
-    recorded).  ``settings`` is the preferred execution spelling; the
-    ``batch_size``/``backend``/``plan`` keywords are deprecated.
+    recorded).  ``settings`` is forwarded to every per-size search.
     """
-    settings = resolve_settings(
-        settings,
-        batch_size=(batch_size, 8192),
-        backend=(backend, None),
-        plan=(plan, None),
-    )
     n = topo.num_vertices
     cap = n if max_seed_size is None else min(max_seed_size, n)
     outcomes: List[SearchOutcome] = []
@@ -564,15 +535,19 @@ def exhaustive_min_dynamo_size(
     return None, outcomes
 
 
-#: seed material accepted by :func:`random_dynamo_search` for the sharded
-#: deterministic path (a plain int, SeedSequence entropy words, or a
-#: SeedSequence itself); a ``numpy.random.Generator`` selects the legacy
-#: single-stream path instead.
-SeedMaterial = Union[int, Sequence[int], np.random.SeedSequence]
+#: seed material accepted by :func:`random_dynamo_search`: a plain int,
+#: a 1-D sequence of int entropy words (list, tuple, ``range``, integer
+#: array), or a SeedSequence itself
+SeedMaterial = Union[int, Sequence[int], np.ndarray, np.random.SeedSequence]
 
 
-def _seed_entropy(rng: Union[np.random.Generator, SeedMaterial]) -> Optional[List[int]]:
-    """Entropy words of seed material, or ``None`` for a Generator."""
+def _seed_entropy(rng: SeedMaterial) -> List[int]:
+    """Entropy words of seed material.
+
+    Raises :class:`TypeError` for anything else — a
+    ``numpy.random.Generator`` included: a live stream can be neither
+    split across shards nor replayed after a crash.
+    """
     if isinstance(rng, np.random.SeedSequence):
         ent = rng.entropy
         words = [int(x) for x in ent] if isinstance(ent, (list, tuple)) else [int(ent)]
@@ -582,9 +557,17 @@ def _seed_entropy(rng: Union[np.random.Generator, SeedMaterial]) -> Optional[Lis
         return words
     if isinstance(rng, (int, np.integer)):
         return [int(rng)]
-    if isinstance(rng, (list, tuple)):
-        return [int(x) for x in rng]
-    return None
+    if isinstance(rng, np.ndarray):
+        if rng.ndim == 1 and np.issubdtype(rng.dtype, np.integer):
+            return [int(x) for x in rng]
+    elif isinstance(rng, Sequence) and not isinstance(rng, (str, bytes)):
+        if all(isinstance(x, (int, np.integer)) for x in rng):
+            return [int(x) for x in rng]
+    raise TypeError(
+        "seed material must be an int, a 1-D sequence of ints (list, tuple, "
+        "range or integer array) or a numpy SeedSequence, got "
+        f"{type(rng).__name__}"
+    )
 
 
 def _random_trials(
@@ -598,8 +581,8 @@ def _random_trials(
     max_rounds: int,
     batch_size: int,
     monotone_only: bool,
-    backend: BackendSpec = None,
-    plan: PlanSpec = None,
+    backend: BackendSetting = None,
+    plan: Optional[ExecutionPlan] = None,
 ) -> List[Tuple[np.ndarray, bool]]:
     """Run ``trials`` random configurations; return the witnesses found.
 
@@ -684,100 +667,77 @@ def random_dynamo_search(
     seed_size: int,
     num_colors: int,
     trials: int,
-    rng: Union[np.random.Generator, SeedMaterial],
+    rng: SeedMaterial,
     *,
     k: int = 0,
     rule: Optional[Rule] = None,
     max_rounds: Optional[int] = None,
-    batch_size: int = 4096,
     monotone_only: bool = False,
-    processes: Optional[int] = 0,
-    shard_size: Optional[int] = None,
     db: Optional["WitnessDB"] = None,
-    backend: BackendSpec = None,
-    plan: PlanSpec = None,
-    ledger: LedgerSpec = None,
-    resume: bool = False,
     ledger_scope: Optional["LedgerScope"] = None,
-    settings: Optional[ExecutionSettings] = None,
+    settings: ExecutionSettings = ExecutionSettings(),
 ) -> SearchOutcome:
     """Monte-Carlo falsification: random seeds + random complements.
 
     ``settings`` (an :class:`~repro.engine.context.ExecutionSettings`)
-    is the preferred way to configure execution; the individual
-    ``batch_size``/``processes``/``shard_size``/``backend``/``plan``/
-    ``ledger``/``resume`` keywords are **deprecated** — still honoured,
-    folded into a settings object internally, but mixing them with
-    ``settings=`` raises :class:`ValueError`.  ``settings.cancel`` is
-    checked between shards and raises
-    :class:`~repro.engine.parallel.RunCancelled`.
+    configures execution: ``batch_size`` (default 4096) rows per engine
+    call, ``shard_size`` (default the batch size) trials per shard,
+    ``processes`` pool workers (``0`` = inline, ``None`` = one per
+    core), ``backend``/``plan`` for the kernels, and ``ledger``/
+    ``resume`` for crash safety.  ``settings.cancel`` is checked between
+    shards and raises :class:`~repro.engine.parallel.RunCancelled`.
 
-    ``ledger`` opens a :class:`~repro.io.ledger.RunLedger` run for this
-    search (``resume=True`` re-opens a previous run): every completed
-    shard is durably committed, completed shards replay bitwise on
-    resume, and worker death is retried up to
+    ``rng`` is seed material — an int, a 1-D sequence of int entropy
+    words (list, tuple, ``range``, integer array), or a
+    ``SeedSequence``; anything else (a ``Generator`` included) raises
+    :class:`TypeError`.  Trials split into shards of ``shard_size``,
+    shard ``i`` draws from ``SeedSequence([*entropy, i])``, and
+    witnesses are reduced in shard order, so the outcome is
+    **bitwise-identical at any process count** (it does depend on
+    ``shard_size``/``batch_size``, which are part of the experiment
+    definition).  ``seed_size`` must lie in ``1..topo.num_vertices``;
+    anything else raises :class:`ValueError` before the db or ledger is
+    touched.
+
+    ``settings.ledger`` opens a :class:`~repro.io.ledger.RunLedger` run
+    for this search (``settings.resume`` re-opens a previous run): every
+    completed shard is durably committed, completed shards replay
+    bitwise on resume, and worker death is retried up to
     :data:`~repro.engine.parallel.DEFAULT_SHARD_RETRIES` times before a
     structured :class:`~repro.engine.parallel.ShardError` surfaces.
     ``ledger_scope`` is the nested form a parent driver (the census)
-    passes instead — mutually exclusive with ``ledger``.  Both require
-    the deterministic seed-material path (a ``Generator`` stream is not
-    reconstructible after a crash).
+    passes instead — mutually exclusive with ``settings.ledger``.
 
-    ``backend`` selects the kernel backend (a registry name resolved
-    locally by each pool worker); bitwise-interchangeable by contract, so
-    it is recorded in witness provenance but excluded from the cached
-    search definition — a census computed under one backend serves cache
-    hits to every other.
+    ``settings.backend`` selects the kernel backend (a registry name
+    resolved locally by each pool worker); bitwise-interchangeable by
+    contract, so it is recorded in witness provenance but excluded from
+    the cached search definition — a census computed under one backend
+    serves cache hits to every other.
 
     Used where exhaustion is infeasible; finding no witness in many trials
     is (only) statistical evidence for the lower bound — the benches report
     the trial count alongside.
 
-    ``rng`` selects the execution mode.  Seed *material* — an int, a
-    sequence of entropy words, or a ``SeedSequence`` — picks the sharded
-    deterministic path: trials split into shards of ``shard_size``
-    (default ``batch_size``), shard ``i`` draws from
-    ``SeedSequence([*entropy, i])``, and shards fan out over ``processes``
-    pool workers (``0`` = inline, ``None`` = one per core).  Witnesses are
-    reduced in shard order, so the outcome is **bitwise-identical at any
-    process count** (it does depend on ``shard_size``/``batch_size``,
-    which are part of the experiment definition).  A ``Generator`` keeps
-    the legacy single-stream sequential behaviour and cannot be sharded —
-    combining one with ``processes > 0`` raises :class:`ValueError`.
-
-    ``db`` plugs in a :class:`~repro.io.witnessdb.WitnessDB`.  On the
-    deterministic seed-material path the store is consulted first: a
-    record whose search definition matches exactly (entropy words,
-    trials, seed size, palette, batch/shard geometry, rule) returns
-    immediately with ``cached=True`` and **skips the sharded pool
-    entirely**.  After a fresh search, witnesses are recorded with their
-    originating shard index in provenance.  Generator-path witnesses are
-    recorded too (they are replayable even though the stream is not
-    reconstructible), but never consulted.  Searches that find nothing
-    record nothing and therefore always re-run.
+    ``db`` plugs in a :class:`~repro.io.witnessdb.WitnessDB`.  The store
+    is consulted first: a record whose search definition matches exactly
+    (entropy words, trials, seed size, palette, batch/shard geometry,
+    rule) returns immediately with ``cached=True`` and **skips the
+    sharded pool entirely**.  After a fresh search, witnesses are
+    recorded with their originating shard index in provenance.  Searches
+    that find nothing record nothing and therefore always re-run.
     """
     rule = rule if rule is not None else SMPRule()
-    settings = resolve_settings(
-        settings,
-        processes=(processes, 0),
-        shard_size=(shard_size, None),
-        batch_size=(batch_size, 4096),
-        backend=(backend, None),
-        plan=(plan, None),
-        ledger=(ledger, None),
-        resume=(resume, False),
+    batch_size = validate_positive(
+        settings.resolved_batch_size(4096), flag="batch_size"
     )
-    batch_size = settings.resolved_batch_size(4096)
-    shard_size = settings.shard_size
-    backend = settings.backend
+    shard_size = validate_positive(
+        settings.resolved_shard_size(batch_size), flag="shard_size"
+    )
     ledger = settings.ledger
-    resume = settings.resume
-    validate_positive(batch_size, flag="batch_size")
-    if shard_size is not None:
-        validate_positive(shard_size, flag="shard_size")
     nproc = validate_processes(settings.processes)
     plan = resolve_plan(settings.plan)
     n = topo.num_vertices
+    _validate_seed_size(seed_size, n)
     if max_rounds is None:
         max_rounds = 4 * n + 16
     others = np.asarray([c for c in range(num_colors) if c != k][: num_colors - 1])
@@ -786,36 +746,10 @@ def random_dynamo_search(
     entropy = _seed_entropy(rng)
     spec = topology_spec(topo)
     backend_name, backend_ref = resolve_backend_ref(
-        backend, sharded=entropy is not None and (nproc is None or nproc > 0)
+        settings.backend, sharded=nproc is None or nproc > 0
     )
     if ledger is not None and ledger_scope is not None:
         raise ValueError("pass either ledger or ledger_scope, not both")
-    if entropy is None:
-        if ledger is not None or ledger_scope is not None:
-            raise ValueError(
-                "a run ledger needs reconstructible seed material — a "
-                "Generator stream cannot be replayed after a crash; pass "
-                "an int, a sequence of ints, or a SeedSequence"
-            )
-        if nproc is None or nproc > 0:
-            raise ValueError(
-                "a Generator cannot be split deterministically across "
-                "processes; pass seed material (an int, a sequence of "
-                "ints, or a SeedSequence) to shard the search"
-            )
-        outcome.witnesses.extend(
-            _random_trials(
-                topo, rng, trials, seed_size, others, k, rule,
-                max_rounds, batch_size, monotone_only, backend=backend_ref,
-                plan=plan,
-            )
-        )
-        outcome.examined = trials
-        _db_record_outcome(
-            db, None, spec, rule, num_colors, k, outcome, "random",
-            backend=backend_name,
-        )
-        return outcome
 
     definition = None
     if spec is not None and (db is not None or ledger is not None):
@@ -835,10 +769,10 @@ def random_dynamo_search(
             "k": int(k),
             "monotone_only": bool(monotone_only),
             "batch_size": int(batch_size),
-            "shard_size": int(shard_size if shard_size is not None else batch_size),
+            "shard_size": int(shard_size),
             "max_rounds": int(max_rounds),
         }
-    top_scope = _open_top_ledger(ledger, resume, definition)
+    top_scope = _open_top_ledger(ledger, settings.resume, definition)
     if top_scope is not None:
         ledger_scope = top_scope
     if db is not None and definition is not None:
@@ -848,7 +782,7 @@ def random_dynamo_search(
                 top_scope.ledger.finish(top_scope.run_id)
             return hit
 
-    counts = shard_counts(trials, shard_size if shard_size is not None else batch_size)
+    counts = shard_counts(trials, shard_size)
     shards = [
         (
             spec,

@@ -45,7 +45,7 @@ import numpy as np
 from .. import obs
 from ..topology.base import Topology
 from ..topology.tori import TORUS_CLASSES, make_torus
-from .context import CancelCheck, ExecutionSettings
+from .context import CancelCheck
 
 if TYPE_CHECKING:  # type-only: avoid a runtime engine -> io import cycle
     from ..io.ledger import ShardCheckpoint
@@ -223,7 +223,6 @@ def run_sharded(
     flag: str = "processes",
     checkpoint: Optional["ShardCheckpoint"] = None,
     max_retries: int = 0,
-    settings: Optional[ExecutionSettings] = None,
     cancel: Optional[CancelCheck] = None,
 ) -> List[R]:
     """Map ``worker`` over ``shards``, optionally across a process pool.
@@ -268,11 +267,6 @@ def run_sharded(
         ``SeedSequence`` and bitwise-identical output; once the budget
         is exhausted a :class:`ShardError` naming the shard's key is
         raised.  The default ``0`` preserves fail-fast semantics.
-    settings:
-        An :class:`~repro.engine.context.ExecutionSettings` supplying
-        ``processes`` (and ``cancel``, unless overridden) — the single
-        settings object the sharded drivers thread through.  Mutually
-        exclusive with the ``processes`` keyword.
     cancel:
         Cancellation probe checked between shards (inline paths) and at
         pool-wave boundaries; a ``True`` return raises
@@ -284,14 +278,6 @@ def run_sharded(
     process count, whether shards were replayed, and however many
     retries were spent.
     """
-    if settings is not None:
-        if processes is not None:
-            raise ValueError(
-                "pass processes through settings= or the keyword, not both"
-            )
-        processes = settings.processes
-        if cancel is None:
-            cancel = settings.cancel
     units = list(shards)
     with obs.span("pool", level="basic", shards=len(units)):
         if checkpoint is None and max_retries == 0:

@@ -39,7 +39,11 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from ..engine.context import ExecutionSettings
-from ..engine.parallel import RunCancelled, validate_processes
+from ..engine.parallel import (
+    RunCancelled,
+    validate_positive,
+    validate_processes,
+)
 from ..io.ledger import RunLedger
 from ..io.witnessdb import WitnessDB
 from ..rules import RULE_NAMES, make_rule
@@ -111,6 +115,21 @@ _CENSUS_PARAMS = frozenset(
 )
 
 
+def _check_execution(spec: Mapping[str, Any]) -> None:
+    """Refuse the execution values the drivers reject at run time.
+
+    Raises :class:`ValueError`; the callers turn it into a
+    :class:`JobValidationError` so a bad request is a 400, not a job
+    that fails later.
+    """
+    validate_processes(spec["processes"])
+    for name in ("batch_size", "shard_size"):
+        if spec[name] is not None:
+            validate_positive(spec[name], flag=name)
+    if spec["trials"] < 0:
+        raise ValueError(f"trials must be >= 0, got {spec['trials']!r}")
+
+
 def _validate_search(params: Mapping[str, Any]) -> Dict[str, Any]:
     """Normalize a search request to the CLI's exact defaults."""
     _reject_unknown(params, _SEARCH_PARAMS)
@@ -142,8 +161,13 @@ def _validate_search(params: Mapping[str, Any]) -> Dict[str, Any]:
         "max_configs": _int_of(params, "max_configs", 20_000_000),
     }
     try:
-        validate_processes(spec["processes"])
-        make_torus(kind, spec["m"], spec["n"])
+        _check_execution(spec)
+        vertices = make_torus(kind, spec["m"], spec["n"]).num_vertices
+        if not 1 <= spec["seed_size"] <= vertices:
+            raise ValueError(
+                f"seed_size must be in 1..{vertices} (m*n), "
+                f"got {spec['seed_size']!r}"
+            )
         make_rule(rule, num_colors=spec["colors"])
     except (TypeError, ValueError) as exc:
         raise JobValidationError(str(exc)) from None
@@ -176,7 +200,10 @@ def _validate_census(params: Mapping[str, Any]) -> Dict[str, Any]:
         "processes": _int_of(params, "processes", 0),
     }
     try:
-        validate_processes(spec["processes"])
+        _check_execution(spec)
+        for kind in spec["kinds"]:
+            for size in spec["sizes"]:
+                make_torus(kind, size, size)
     except (TypeError, ValueError) as exc:
         raise JobValidationError(str(exc)) from None
     return spec

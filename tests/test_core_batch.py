@@ -1,50 +1,20 @@
-"""Batched SMP kernel tests: the search substrate must agree with the
-single-configuration engine bit for bit.
+"""Batched SMP search substrate: the batch engine must agree with the
+single-configuration engine bit for bit on the Simple Majority Protocol.
 
-These exercise the retired :mod:`repro.core.batch` shim on purpose
-(its import-time and call-time DeprecationWarnings are expected behavior,
-filtered below); the rule-agnostic replacement is covered by
-``test_engine_batch.py``.
+The rule-agnostic contract of :func:`repro.engine.run_batch` is covered in
+``test_engine_batch.py``; these checks pin the SMP case the dynamo
+searches in :mod:`repro.core` depend on.
 """
 
-import sys
-import warnings
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    from repro.core import batch_smp_step, run_batch_smp
-
-from repro.engine import run_synchronous
+from repro.engine import run_batch, run_synchronous
 from repro.rules import SMPRule
-from repro.topology import GraphTopology, ToroidalMesh
+from repro.topology import ToroidalMesh
 
 from helpers import TORUS_KINDS
-
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:run_batch_smp is deprecated:DeprecationWarning"
-)
-
-
-def test_shim_import_warns():
-    """A fresh import of the retired module emits DeprecationWarning."""
-    sys.modules.pop("repro.core.batch", None)
-    with pytest.warns(DeprecationWarning, match="repro.core.batch is retired"):
-        import repro.core.batch  # noqa: F401
-
-
-def test_core_import_stays_quiet():
-    """Importing repro.core itself must not touch the retired shim."""
-    sys.modules.pop("repro.core.batch", None)
-    sys.modules.pop("repro.core", None)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        import repro.core  # noqa: F401
-    assert "repro.core.batch" not in sys.modules
 
 
 @settings(max_examples=25, deadline=None)
@@ -53,8 +23,8 @@ def test_batch_step_equals_single_step(seed, batch):
     rng = np.random.default_rng(seed)
     topo = ToroidalMesh(4, 5)
     configs = rng.integers(0, 4, size=(batch, topo.num_vertices)).astype(np.int32)
-    stepped = batch_smp_step(configs, topo.neighbors)
     rule = SMPRule()
+    stepped = rule.step_batch(configs, topo)
     for b in range(batch):
         assert np.array_equal(stepped[b], rule.step(configs[b], topo))
 
@@ -63,7 +33,7 @@ def test_batch_run_matches_engine(rng, torus_kind):
     topo = TORUS_KINDS[torus_kind](4, 4)
     k = 0
     configs = rng.integers(0, 3, size=(32, 16)).astype(np.int32)
-    out = run_batch_smp(topo, configs, k, max_rounds=80)
+    out = run_batch(topo, configs, SMPRule(), max_rounds=80, target_color=k)
     for b in range(configs.shape[0]):
         res = run_synchronous(
             topo, configs[b], SMPRule(), max_rounds=80, target_color=k
@@ -75,37 +45,9 @@ def test_batch_run_matches_engine(rng, torus_kind):
             assert out.monotone[b] == res.monotone
 
 
-def test_batch_includes_constructions(torus_kind):
-    from repro.core import build_minimum_dynamo
-
-    con = build_minimum_dynamo(torus_kind, 5, 5)
-    batch = np.stack([con.colors, con.colors])
-    out = run_batch_smp(con.topo, batch, con.k, max_rounds=200)
-    assert out.k_monochromatic.all()
-    assert out.monotone.all()
-
-
 def test_batch_input_not_mutated(rng):
     topo = ToroidalMesh(3, 3)
     configs = rng.integers(0, 3, size=(4, 9)).astype(np.int32)
     before = configs.copy()
-    run_batch_smp(topo, configs, 0, max_rounds=10)
+    run_batch(topo, configs, SMPRule(), max_rounds=10, target_color=0)
     assert np.array_equal(configs, before)
-
-
-def test_batch_rejects_irregular_topology():
-    import networkx as nx
-
-    topo = GraphTopology(nx.path_graph(5))
-    with pytest.raises(ValueError):
-        run_batch_smp(topo, np.zeros((2, 5), dtype=np.int32), 0, 10)
-
-
-def test_batch_round_cap():
-    from repro.core import theorem4_cordalis_dynamo
-
-    con = theorem4_cordalis_dynamo(8, 8)  # 24 rounds needed
-    batch = con.colors[None, :]
-    out = run_batch_smp(con.topo, batch, con.k, max_rounds=5)
-    assert not out.converged[0]
-    assert not out.k_monochromatic[0]

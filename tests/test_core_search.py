@@ -17,6 +17,7 @@ from repro.core import (
     random_dynamo_search,
     theorem1_mesh_lower_bound,
 )
+from repro.engine import ExecutionSettings
 from repro.topology import ToroidalMesh
 
 
@@ -112,7 +113,8 @@ def test_last_batch_witness_still_exhaustive():
     topo = ToroidalMesh(3, 3)
     total = count_configs(9, 8, 3)
     out = exhaustive_dynamo_search(
-        topo, seed_size=8, num_colors=3, batch_size=4, stop_at_first=False
+        topo, seed_size=8, num_colors=3, stop_at_first=False,
+        settings=ExecutionSettings(batch_size=4),
     )
     assert out.found_dynamo
     assert out.examined == total
@@ -126,7 +128,8 @@ def test_exact_multiple_batch_witness_still_exhaustive():
     topo = ToroidalMesh(3, 3)
     # 1 configuration, batch_size=1: the only batch flushes in-loop
     out = exhaustive_dynamo_search(
-        topo, seed_size=9, num_colors=2, batch_size=1, stop_at_first=True
+        topo, seed_size=9, num_colors=2, stop_at_first=True,
+        settings=ExecutionSettings(batch_size=1),
     )
     assert out.found_dynamo
     assert out.examined == count_configs(9, 9, 2) == 1
@@ -139,8 +142,9 @@ def test_spawned_seed_sequences_draw_distinct_trials():
     parent's streams."""
     topo = ToroidalMesh(3, 3)
     child_a, child_b = np.random.SeedSequence(7).spawn(2)
-    out_a = random_dynamo_search(topo, 3, 3, 500, child_a, shard_size=100)
-    out_b = random_dynamo_search(topo, 3, 3, 500, child_b, shard_size=100)
+    settings = ExecutionSettings(shard_size=100)
+    out_a = random_dynamo_search(topo, 3, 3, 500, child_a, settings=settings)
+    out_b = random_dynamo_search(topo, 3, 3, 500, child_b, settings=settings)
     assert any(
         not np.array_equal(wa, wb)
         for (wa, _), (wb, _) in zip(out_a.witnesses, out_b.witnesses)
@@ -152,7 +156,8 @@ def test_early_stop_is_not_exhaustive():
     non-exhaustive coverage."""
     topo = ToroidalMesh(3, 3)
     out = exhaustive_dynamo_search(
-        topo, seed_size=8, num_colors=3, batch_size=4, stop_at_first=True
+        topo, seed_size=8, num_colors=3, stop_at_first=True,
+        settings=ExecutionSettings(batch_size=4),
     )
     assert out.found_dynamo
     assert out.examined < count_configs(9, 8, 3)
@@ -177,24 +182,96 @@ def test_exhaustive_witnesses_verify(rng):
     assert res_ok == bool(res.monotone)
 
 
-def test_random_search_finds_planted_dynamo(rng):
+def test_random_search_finds_planted_dynamo():
     """Random search at the full-torus seed size must trivially succeed."""
     topo = ToroidalMesh(3, 3)
-    out = random_dynamo_search(topo, seed_size=9, num_colors=3, trials=5, rng=rng)
+    out = random_dynamo_search(topo, seed_size=9, num_colors=3, trials=5, rng=0)
     assert out.found_dynamo
     assert out.examined == 5
     assert not out.exhaustive
 
 
-def test_random_search_finds_below_bound_dynamos_on_4x4(rng):
+def test_random_search_finds_below_bound_dynamos_on_4x4():
     """The Theorem-1 violation persists at 4x4: random search readily
     finds monotone dynamos of size 5 < 6 = m + n - 2 (the diagonal-plus-
     one family), so the failure is not a 3x3 wraparound artifact."""
     topo = ToroidalMesh(4, 4)
     out = random_dynamo_search(
-        topo, seed_size=5, num_colors=4, trials=5000, rng=rng, monotone_only=True
+        topo, seed_size=5, num_colors=4, trials=5000, rng=0xC0FFEE,
+        monotone_only=True,
     )
     assert out.found_monotone_dynamo
     colors, _ = out.witnesses[0]
     assert is_monotone_dynamo(topo, colors, k=0)
     assert (colors == 0).sum() == 5 < theorem1_mesh_lower_bound(4, 4)
+
+
+@pytest.mark.parametrize("seed_size", [0, -1, 10, 30])
+def test_both_searches_refuse_seed_sizes_outside_the_torus(tmp_path, seed_size):
+    """An oversized seed used to report witnesses (random search: a
+    truncated all-k placement) or a false "exhausted" certificate
+    (exhaustive: zero configurations examined); either way it must fail
+    before the witness db or the run ledger is touched."""
+    from repro.io.witnessdb import WitnessDB
+
+    topo = ToroidalMesh(3, 3)
+    db_path = tmp_path / "w.jsonl"
+    ledger = tmp_path / "run.ledger"
+    settings = ExecutionSettings(ledger=ledger)
+    with pytest.raises(ValueError, match="seed_size"):
+        random_dynamo_search(
+            topo, seed_size, 3, 100, 1, db=WitnessDB(db_path), settings=settings
+        )
+    with pytest.raises(ValueError, match="seed_size"):
+        exhaustive_dynamo_search(
+            topo, seed_size, 3, db=WitnessDB(db_path), settings=settings
+        )
+    assert not ledger.exists()
+    assert not db_path.exists() or db_path.read_bytes() == b""
+
+
+@pytest.mark.parametrize(
+    "material",
+    [[11], (11,), range(11, 12), np.array([11]), np.array([11], dtype=np.uint32)],
+    ids=["list", "tuple", "range", "array", "uint-array"],
+)
+def test_seed_material_forms_are_interchangeable(material):
+    """Any 1-D integer sequence is seed material and draws the same
+    streams as the int it spells."""
+    topo = ToroidalMesh(3, 3)
+    settings = ExecutionSettings(shard_size=100)
+    ref = random_dynamo_search(topo, 3, 3, 300, 11, settings=settings)
+    out = random_dynamo_search(topo, 3, 3, 300, material, settings=settings)
+    assert ref.found_dynamo
+    assert len(out.witnesses) == len(ref.witnesses)
+    for (a, am), (b, bm) in zip(out.witnesses, ref.witnesses):
+        assert am == bm and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "material",
+    [np.random.default_rng(11), 11.0, "11", [1.5], np.array([[11]]),
+     np.array([1.0]), None],
+    ids=["generator", "float", "str", "float-list", "2d-array",
+         "float-array", "none"],
+)
+def test_seed_material_rejects_other_types(material):
+    """Everything else — a live Generator included, which can be neither
+    sharded nor replayed — is a TypeError naming the accepted types."""
+    with pytest.raises(TypeError, match="SeedSequence"):
+        random_dynamo_search(ToroidalMesh(3, 3), 3, 3, 10, material)
+
+
+def test_cli_search_refuses_oversized_seed(tmp_path, capsys):
+    """The CLI reports the bad --seed-size as a usage error (exit 2) and
+    leaves the witness db alone instead of recording an all-k witness."""
+    from repro.cli import main as cli_main
+
+    db_path = tmp_path / "w.jsonl"
+    for extra in ([], ["--exhaustive"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["search", "mesh", "3", "3", "--seed-size", "30",
+                      "--db", str(db_path), *extra])
+        assert exc.value.code == 2
+        assert "--seed-size must be in 1..9" in capsys.readouterr().err
+    assert not db_path.exists()

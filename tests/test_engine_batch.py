@@ -207,6 +207,27 @@ def test_run_batch_input_not_mutated(rng):
     assert np.array_equal(batch, before)
 
 
+def test_run_batch_includes_constructions(torus_kind):
+    from repro.core import build_minimum_dynamo
+
+    con = build_minimum_dynamo(torus_kind, 5, 5)
+    batch = np.stack([con.colors, con.colors])
+    res = run_batch(con.topo, batch, SMPRule(), max_rounds=200, target_color=con.k)
+    assert res.k_monochromatic.all()
+    assert res.monotone.all()
+
+
+def test_run_batch_round_cap():
+    from repro.core import theorem4_cordalis_dynamo
+
+    con = theorem4_cordalis_dynamo(8, 8)  # 24 rounds needed
+    res = run_batch(
+        con.topo, con.colors[None, :], SMPRule(), max_rounds=5, target_color=con.k
+    )
+    assert not res.converged[0]
+    assert not res.k_monochromatic[0]
+
+
 def test_run_batch_row_view(rng):
     topo = ToroidalMesh(4, 4)
     batch = _random_batch(rng, topo, 0, 3, 5)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import random_dynamo_search
+from repro.engine import ExecutionSettings
 from repro.engine.parallel import (
     kind_tag,
     resolve_processes,
@@ -49,12 +50,13 @@ def test_sweep_rounds_rejects_negative_processes():
 
 def test_drivers_share_process_validation():
     points = square_points("mesh", [4])
+    bad = ExecutionSettings(processes=-1)
     with pytest.raises(ValueError, match="processes"):
-        convergence_sweep(points, replicas=4, processes=-1)
+        convergence_sweep(points, replicas=4, settings=bad)
     with pytest.raises(ValueError, match="processes"):
-        below_bound_census(kinds=["mesh"], sizes=[4], processes=-1)
+        below_bound_census(kinds=["mesh"], sizes=[4], settings=bad)
     with pytest.raises(ValueError, match="processes"):
-        random_dynamo_search(ToroidalMesh(3, 3), 3, 3, 10, 7, processes=-1)
+        random_dynamo_search(ToroidalMesh(3, 3), 3, 3, 10, 7, settings=bad)
 
 
 def test_resolve_processes_caps_at_units():
@@ -108,28 +110,39 @@ def test_run_sharded_preserves_order():
 @pytest.mark.parametrize("processes", [1, 4])
 def test_convergence_sweep_process_parity(processes):
     points = square_points("mesh", [4]) + square_points("cordalis", [4])
-    kwargs = dict(replicas=48, shard_size=16, batch_size=16, seed=99)
-    inline = convergence_sweep(points, **kwargs, processes=0)
-    sharded = convergence_sweep(points, **kwargs, processes=processes)
+    geometry = dict(shard_size=16, batch_size=16)
+    inline = convergence_sweep(
+        points, replicas=48, seed=99,
+        settings=ExecutionSettings(processes=0, **geometry),
+    )
+    sharded = convergence_sweep(
+        points, replicas=48, seed=99,
+        settings=ExecutionSettings(processes=processes, **geometry),
+    )
     assert np.array_equal(inline, sharded)
 
 
 @pytest.mark.parametrize("processes", [1, 4])
 def test_census_process_parity(processes):
-    kwargs = dict(kinds=["mesh", "cordalis"], sizes=[4], random_trials=800,
-                  shard_size=256)
-    assert below_bound_census(**kwargs, processes=0) == below_bound_census(
-        **kwargs, processes=processes
+    kwargs = dict(kinds=["mesh", "cordalis"], sizes=[4], random_trials=800)
+    inline = ExecutionSettings(processes=0, shard_size=256)
+    sharded = ExecutionSettings(processes=processes, shard_size=256)
+    assert below_bound_census(**kwargs, settings=inline) == below_bound_census(
+        **kwargs, settings=sharded
     )
 
 
 @pytest.mark.parametrize("processes", [1, 4])
 def test_random_search_process_parity(processes):
     topo = ToroidalMesh(3, 3)
-    a = random_dynamo_search(topo, 3, 3, 1000, [7, 11], shard_size=128,
-                             processes=0)
-    b = random_dynamo_search(topo, 3, 3, 1000, [7, 11], shard_size=128,
-                             processes=processes)
+    a = random_dynamo_search(
+        topo, 3, 3, 1000, [7, 11],
+        settings=ExecutionSettings(shard_size=128, processes=0),
+    )
+    b = random_dynamo_search(
+        topo, 3, 3, 1000, [7, 11],
+        settings=ExecutionSettings(shard_size=128, processes=processes),
+    )
     assert a.examined == b.examined == 1000
     assert len(a.witnesses) == len(b.witnesses)
     for (wa, ma), (wb, mb) in zip(a.witnesses, b.witnesses):
@@ -139,18 +152,14 @@ def test_random_search_process_parity(processes):
 def test_random_search_seed_material_forms_agree():
     """An int seed and a one-word entropy list derive the same shards."""
     topo = ToroidalMesh(3, 3)
-    a = random_dynamo_search(topo, 3, 3, 500, 7, shard_size=100)
-    b = random_dynamo_search(topo, 3, 3, 500, [7], shard_size=100)
+    settings = ExecutionSettings(shard_size=100)
+    a = random_dynamo_search(topo, 3, 3, 500, 7, settings=settings)
+    b = random_dynamo_search(topo, 3, 3, 500, [7], settings=settings)
     c = random_dynamo_search(topo, 3, 3, 500, np.random.SeedSequence([7]),
-                             shard_size=100)
+                             settings=settings)
     assert len(a.witnesses) == len(b.witnesses) == len(c.witnesses)
     for (wa, _), (wb, _), (wc, _) in zip(a.witnesses, b.witnesses, c.witnesses):
         assert np.array_equal(wa, wb) and np.array_equal(wa, wc)
-
-
-def test_random_search_generator_cannot_shard(rng):
-    with pytest.raises(ValueError, match="Generator"):
-        random_dynamo_search(ToroidalMesh(3, 3), 3, 3, 10, rng, processes=2)
 
 
 def test_census_cells_are_independent():
@@ -170,8 +179,7 @@ def test_convergence_sweep_seed_stability():
     recs = convergence_sweep(
         square_points("mesh", [4, 5]),
         replicas=64,
-        shard_size=16,
-        batch_size=16,
+        settings=ExecutionSettings(shard_size=16, batch_size=16),
     )
     assert list(recs["converged_frac"]) == [0.375, 0.46875]
     assert list(recs["monochromatic_frac"]) == [0.109375, 0.078125]
@@ -194,7 +202,7 @@ def test_census_seed_stability():
 
 def test_random_search_seed_stability():
     out = random_dynamo_search(ToroidalMesh(3, 3), 3, 3, 1000, [7, 11],
-                               shard_size=128)
+                               settings=ExecutionSettings(shard_size=128))
     assert out.examined == 1000
     assert not out.exhaustive
     assert len(out.witnesses) == 35

@@ -23,6 +23,7 @@ from repro.engine import (
     DEFAULT_PLAN,
     NO_PLAN,
     ExecutionPlan,
+    ExecutionSettings,
     clear_plan_cache,
     default_initial_rounds,
     default_round_cap,
@@ -170,10 +171,17 @@ def test_escalation_retires_cycling_rows_early(rng):
 # ----------------------------------------------------------------------
 def test_random_search_is_plan_independent():
     topo = ToroidalMesh(4, 4)
-    kwargs = dict(k=0, monotone_only=True, batch_size=128, processes=0)
-    ref = random_dynamo_search(topo, 3, 5, 4096, 0xBEEF, plan=NO_PLAN, **kwargs)
+    kwargs = dict(k=0, monotone_only=True)
+    ref = random_dynamo_search(
+        topo, 3, 5, 4096, 0xBEEF,
+        settings=ExecutionSettings(batch_size=128, plan=NO_PLAN), **kwargs
+    )
     out = random_dynamo_search(
-        topo, 3, 5, 4096, 0xBEEF, plan=ExecutionPlan(initial_rounds=4), **kwargs
+        topo, 3, 5, 4096, 0xBEEF,
+        settings=ExecutionSettings(
+            batch_size=128, plan=ExecutionPlan(initial_rounds=4)
+        ),
+        **kwargs,
     )
     assert out.examined == ref.examined
     assert len(out.witnesses) == len(ref.witnesses)
@@ -187,7 +195,9 @@ def test_census_rows_and_witness_ids_are_plan_independent(tmp_path):
     dbs, rows = {}, {}
     for name, plan in (("off", NO_PLAN), ("on", DEFAULT_PLAN)):
         db = WitnessDB(tmp_path / f"{name}.jsonl")
-        rows[name] = below_bound_census(db=db, plan=plan, **kwargs)
+        rows[name] = below_bound_census(
+            db=db, settings=ExecutionSettings(plan=plan), **kwargs
+        )
         dbs[name] = db
     assert rows["off"] == rows["on"]
     ids_off = sorted(r.id for r in dbs["off"])
@@ -204,22 +214,25 @@ def test_cached_census_serves_across_plans(tmp_path):
     plan settings never enter the cell definition."""
     path = tmp_path / "w.jsonl"
     kwargs = dict(kinds=["mesh"], sizes=[3], random_trials=400)
-    first = below_bound_census(db=WitnessDB(path), plan=NO_PLAN, **kwargs)
-    stats = {}
+    first = below_bound_census(
+        db=WitnessDB(path), settings=ExecutionSettings(plan=NO_PLAN), **kwargs
+    )
     second = below_bound_census(
-        db=WitnessDB(path), plan=ExecutionPlan(initial_rounds=2), stats=stats,
+        db=WitnessDB(path),
+        settings=ExecutionSettings(plan=ExecutionPlan(initial_rounds=2)),
         **kwargs,
     )
     assert first == second
-    assert stats["cache_hits"] == stats["cells"] == 1
+    assert second.run_stats.cache_hits == second.run_stats.cells == 1
 
 
 def test_convergence_sweep_is_plan_independent():
     pts = [("mesh", 4, 4), ("cordalis", 5, 5)]
-    kwargs = dict(replicas=128, batch_size=64, processes=0)
+    off = ExecutionSettings(batch_size=64, plan=NO_PLAN)
+    on = ExecutionSettings(batch_size=64, plan=ExecutionPlan(initial_rounds=3))
     assert np.array_equal(
-        convergence_sweep(pts, plan=NO_PLAN, **kwargs),
-        convergence_sweep(pts, plan=ExecutionPlan(initial_rounds=3), **kwargs),
+        convergence_sweep(pts, replicas=128, settings=off),
+        convergence_sweep(pts, replicas=128, settings=on),
     )
 
 
@@ -459,16 +472,16 @@ def test_sharded_search_keeps_parent_cache_untouched():
     topo = ToroidalMesh(4, 4)
     before = plan_cache_stats()
     out = random_dynamo_search(
-        topo, 3, 5, 512, 0xBEEF, monotone_only=True, batch_size=64,
-        shard_size=128, processes=2,
+        topo, 3, 5, 512, 0xBEEF, monotone_only=True,
+        settings=ExecutionSettings(batch_size=64, shard_size=128, processes=2),
     )
     assert out.examined == 512
     after = plan_cache_stats()
     assert (after.hits, after.misses) == (before.hits, before.misses)
     # and the sharded outcome matches the inline one bitwise
     inline = random_dynamo_search(
-        topo, 3, 5, 512, 0xBEEF, monotone_only=True, batch_size=64,
-        shard_size=128, processes=0,
+        topo, 3, 5, 512, 0xBEEF, monotone_only=True,
+        settings=ExecutionSettings(batch_size=64, shard_size=128, processes=0),
     )
     assert len(out.witnesses) == len(inline.witnesses)
     for (ca, ma), (cb, mb) in zip(out.witnesses, inline.witnesses):

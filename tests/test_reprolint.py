@@ -533,6 +533,27 @@ class TestDocsDrift:
         # a retired reference must not double-report as a dangling ref
         assert [f for f in findings if f.rule == "RPL-C002"] == []
 
+    def test_c004_retired_docs_script(self, tmp_path):
+        """The retired standalone docs checker can come back neither as
+        a doc reference nor as a file in the tree."""
+        readme = (
+            "# x\n\nrun `tools/check_docs_cli.py` first\n\n"
+            f"{_all_flags_blurb()}\n"
+        )
+        root = _mini_repo(tmp_path, readme)
+        findings, _ = lint_project(root, ["src"], select=["docs"])
+        c004 = [f for f in findings if f.rule == "RPL-C004"]
+        assert [(f.path, f.line) for f in c004] == [("README.md", 3)]
+        assert "tools/check_docs_cli.py" in c004[0].message
+        # a retired path must not double-report as a missing one
+        assert [f for f in findings if f.rule == "RPL-C002"] == []
+
+        (root / "tools").mkdir()
+        (root / "tools" / "check_docs_cli.py").write_text("# shim\n")
+        findings, _ = lint_project(root, ["src"], select=["docs"])
+        c004 = [f for f in findings if f.rule == "RPL-C004"]
+        assert ("tools/check_docs_cli.py", 1) in [(f.path, f.line) for f in c004]
+
     def test_c003_valid_invocation_clean(self, tmp_path):
         readme = (
             "# x\n\n```bash\nrepro-dynamo census --sizes 3 4 \\\n"

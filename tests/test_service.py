@@ -182,6 +182,41 @@ class TestServiceState:
         assert status == 400
 
 
+    @pytest.mark.parametrize(
+        "kind,body",
+        [
+            ("census", {"batch_size": 0}),
+            ("census", {"shard_size": -1}),
+            ("census", {"sizes": [0]}),
+            ("census", {"sizes": [3, 1]}),
+            ("census", {"trials": -1}),
+            ("search", dict(SEARCH_JOB, batch_size=0)),
+            ("search", dict(SEARCH_JOB, shard_size=-1)),
+            ("search", dict(SEARCH_JOB, trials=-5)),
+            ("search", dict(SEARCH_JOB, seed_size=0)),
+            ("search", dict(SEARCH_JOB, seed_size=10)),
+            ("search", dict(SEARCH_JOB, seed_size=30, exhaustive=True)),
+            ("search", dict(SEARCH_JOB, m=1)),
+        ],
+        ids=[
+            "census-batch-0", "census-shard-neg", "census-size-0",
+            "census-size-1", "census-trials-neg", "search-batch-0",
+            "search-shard-neg", "search-trials-neg", "search-seed-0",
+            "search-seed-over", "exhaustive-seed-over", "search-m-1",
+        ],
+    )
+    def test_values_drivers_reject_are_400_up_front(self, tmp_path, kind, body):
+        """A value the driver would reject at run time is a 400 at
+        submission, not a 202 whose job fails later."""
+        state = ServiceState(tmp_path / "w.jsonl", jobs_dir=tmp_path / "jobs")
+        try:
+            status, payload = state.submit_job(kind, body)
+            assert status == 400, payload
+            assert state.jobs.jobs() == []
+        finally:
+            state.close()
+
+
 # ---------------------------------------------------------------------------
 # jobs: lifecycle, bitwise identity, cancellation
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ hand-maintained list:
 * RPL-C002 — dotted ``repro.*`` cross-references and backticked repo
   paths in README.md / docs/*.md must resolve against the source tree.
 * RPL-C003 — every documented ``repro-dynamo`` invocation must parse
-  against the real parser (absorbed from the former standalone
-  ``tools/check_docs_cli.py``, which now delegates here).
-* RPL-C004 — retired modules must not be referenced from README.md /
-  docs/*.md.  Currently only ``repro.core.batch`` is retired; its docs
-  live in the module docstring (which is exempt — only prose docs are
-  scanned), so any surviving reference is stale guidance.
+  against the real parser (absorbed from a former standalone script).
+* RPL-C004 — retired modules and scripts (``RETIRED_MODULES``,
+  ``RETIRED_PATHS``) must not be referenced from README.md /
+  docs/*.md, nor exist in the tree again: the ``repro.core.batch``
+  module (use ``repro.engine.run_batch``) and the former standalone
+  docs-check script (use ``python -m tools.reprolint src --select
+  docs``).
 
 These checkers read real files, so they run only with a repo root
 (``requires_root``) and are skipped for in-memory fixtures.
@@ -50,6 +51,10 @@ _PATH_REF = re.compile(
 
 #: retired dotted module prefixes that prose docs must no longer cite
 RETIRED_MODULES = ("repro.core.batch",)
+
+#: retired repo paths: prose docs must not cite them, and they must not
+#: reappear in the tree (the files of the retired modules included)
+RETIRED_PATHS = ("src/repro/core/batch.py", "tools/check_docs_cli.py")
 
 
 def iter_doc_files(root: Path) -> Iterator[Path]:
@@ -208,8 +213,8 @@ class DocsDriftChecker(Checker):
             "the real CLI parser"
         ),
         "RPL-C004": (
-            "docs reference a retired module — point readers at the "
-            "replacement API instead"
+            "retired module or script referenced from docs or present in "
+            "the tree — use the replacement API instead"
         ),
     }
 
@@ -227,6 +232,13 @@ class DocsDriftChecker(Checker):
         yield from self._check_flag_coverage(root, parser)
         yield from self._check_cross_references(root)
         yield from self._check_invocations(root, parser)
+        for rel in RETIRED_PATHS:
+            if (root / rel).exists():
+                yield Finding(
+                    rel, 1, 1, "RPL-C004",
+                    f"`{rel}` is retired and must not come back; use its "
+                    "replacement instead",
+                )
 
     # -- C001: flag coverage ------------------------------------------
 
@@ -302,7 +314,13 @@ class DocsDriftChecker(Checker):
                         )
                 for match in _PATH_REF.finditer(line):
                     target = match.group(1)
-                    if not (root / target).exists():
+                    if target in RETIRED_PATHS:
+                        yield Finding(
+                            rel, lineno, match.start() + 1, "RPL-C004",
+                            f"path `{target}` is retired; cite its "
+                            "replacement instead",
+                        )
+                    elif not (root / target).exists():
                         yield Finding(
                             rel, lineno, match.start() + 1, "RPL-C002",
                             f"path `{target}` does not exist in the repo",
