@@ -180,7 +180,9 @@ def _db_cached_outcome(
     """
     if db is None or definition is None:
         return None
-    summary = db.find_search(definition)
+    from ..io.witnessdb import SearchRecord
+
+    summary = db.find(SearchRecord, definition)
     if summary is None:
         return None
     witnesses = []
@@ -276,7 +278,7 @@ def _db_record_outcome(
         # configurations themselves were first appended by an earlier
         # search (witness rows dedupe by id; summaries must not, or a
         # cache hit would return an incomplete witness set)
-        db.add_search(
+        db.put(
             SearchRecord(
                 definition=definition,
                 witness_ids=recorded_ids,

@@ -221,6 +221,8 @@ def async_robustness(
     record_label = label if label is not None else getattr(con, "name", "construction")
     definition = None
     if db is not None:
+        from ..io.witnessdb import AsyncSummaryRecord
+
         definition = {
             "experiment": "async-robustness",
             "dynamics": DYNAMICS_VERSION,
@@ -229,7 +231,7 @@ def async_robustness(
             "trials": int(trials),
             "max_sweeps": None if max_sweeps is None else int(max_sweeps),
         }
-        cached = db.find_async_summary(record_label, definition)
+        cached = db.find(AsyncSummaryRecord, record_label, definition)
         if cached is not None:
             summary = AsyncRobustness.from_row(cached.row)
             summary.run_stats = RunStats(cells=1, cache_hits=1)
@@ -241,9 +243,7 @@ def async_robustness(
         res = _run_trials(con, schedule, max_sweeps=max_sweeps, engine=engine)
     summary = _summarize(res, trials)
     if db is not None:
-        from ..io.witnessdb import AsyncSummaryRecord
-
-        db.add_async_summary(
+        db.put(
             AsyncSummaryRecord(
                 label=record_label,
                 definition=definition,

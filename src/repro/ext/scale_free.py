@@ -402,8 +402,8 @@ def scale_free_takeover_census(
                         "max_rounds": int(max_rounds),
                     }
                     if db is not None:
-                        cached = db.find_scale_free_cell(
-                            strategy, fraction, definition
+                        cached = db.find(
+                            ScaleFreeCellRecord, strategy, fraction, definition
                         )
                         if cached is not None:
                             cells.append(
@@ -455,7 +455,7 @@ def scale_free_takeover_census(
                     )
                     cells.append(cell)
                     if db is not None:
-                        db.add_scale_free_cell(
+                        db.put(
                             ScaleFreeCellRecord(
                                 strategy=strategy,
                                 seed_fraction=fraction,

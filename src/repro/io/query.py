@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .serialize import witness_to_dict
-from .witnessdb import WitnessDB, _cell_to_dict
+from .witnessdb import WitnessDB, record_to_dict
 
 __all__ = [
     "DEFAULT_PAGE_LIMIT",
@@ -170,7 +170,7 @@ class WitnessQueryIndex:
     ) -> Page:
         """Census-cell records matching the given filters."""
         rows = [
-            _cell_to_dict(cell)
+            record_to_dict(cell)
             for cell in self.db.cells
             if (kind is None or cell.kind == kind)
             and (n is None or cell.n == n)

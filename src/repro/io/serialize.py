@@ -49,6 +49,7 @@ __all__ = [
     "WITNESS_SCHEMA",
     "WitnessFormatError",
     "WitnessRecord",
+    "check_schema",
     "witness_id",
     "witness_to_dict",
     "witness_from_dict",
@@ -314,6 +315,26 @@ class WitnessRecord:
         return np.asarray(self.configuration, dtype=np.int32)
 
 
+def check_schema(schema: Any) -> None:
+    """Validate a record's ``schema`` field, the one check every store
+    record kind shares: an ``int`` (not a ``bool``) in
+    ``1..WITNESS_SCHEMA``.
+
+    Raises
+    ------
+    WitnessFormatError
+        On any other value; a schema newer than this build's is
+        refused with an upgrade hint rather than guessed at.
+    """
+    if not isinstance(schema, int) or isinstance(schema, bool) or schema < 1:
+        raise WitnessFormatError(f"bad schema field {schema!r}")
+    if schema > WITNESS_SCHEMA:
+        raise WitnessFormatError(
+            f"record schema {schema} is newer than this build's "
+            f"{WITNESS_SCHEMA}; upgrade the package to read it"
+        )
+
+
 def witness_to_dict(record: WitnessRecord) -> dict:
     """Serialize a witness record to its JSON-line payload.
 
@@ -366,14 +387,7 @@ def witness_from_dict(payload: Mapping[str, Any]) -> WitnessRecord:
     if not isinstance(payload, dict):
         raise WitnessFormatError(f"witness payload must be an object, got {type(payload).__name__}")
     if "schema" in payload or payload.get("type") == "witness":
-        schema = payload.get("schema")
-        if not isinstance(schema, int) or schema < 1:
-            raise WitnessFormatError(f"bad schema field {schema!r}")
-        if schema > WITNESS_SCHEMA:
-            raise WitnessFormatError(
-                f"record schema {schema} is newer than this build's "
-                f"{WITNESS_SCHEMA}; upgrade the package to read it"
-            )
+        check_schema(payload.get("schema"))
         missing = [f for f in _REQUIRED_WITNESS_FIELDS if f not in payload]
         if missing:
             raise WitnessFormatError(f"witness record missing fields {missing}")

@@ -20,13 +20,14 @@ search.  :class:`WitnessDB` persists them:
   (last-wins on load) — that is how verification stamps land without
   rewriting history;
 * the **in-memory index** keys witnesses by ``(rule, kind, m, n,
-  colors)`` and census cells by their experiment definition, so lookups
-  are O(1) dict probes;
+  colors)`` and every other record by its id, so lookups are O(1) dict
+  probes;
 * **corrupted lines** never abort a load: they are collected into
   :attr:`WitnessDB.corrupt` as ``(line_number, message)`` pairs (pass
   ``strict=True`` to raise instead).
 
-Three record types share the file:
+Every line carries a ``type`` tag, and :func:`record_from_dict` /
+:func:`record_to_dict` are the one codec for all of them.
 
 ``"witness"``
     A configuration + provenance + verification status
@@ -35,25 +36,29 @@ Three record types share the file:
     shard geometry) under which the configuration was first discovered,
     plus the kernel backend name it ran under — recorded for forensics
     only, since backends are bitwise-interchangeable and therefore
-    deliberately excluded from every cache-definition key.
+    deliberately excluded from every cache-definition key.  Witnesses
+    keep their own serializer: it upgrades legacy lines, and
+    :meth:`WitnessDB.add` is first-wins with an explicit ``replace=``.
 
-``"search"``
-    One search invocation's summary: its definition, the ordered ids of
-    the witnesses it recorded, and the ``examined``/``exhaustive``
-    tallies.  This is what the consult-before-recompute cache in
-    :mod:`repro.core.search` matches against — ids are listed per
-    *definition*, so a witness first discovered by an earlier,
-    different search (identical configuration, deduplicated by id)
-    still counts toward every later search that finds it.
+The *keyed* kinds, listed in :data:`RECORD_KINDS`
+    Cached results of one experiment definition: a
+    :class:`RecordKind` names the type tag, the dataclass, and the id
+    fields hashed (with the tag) into the record id.  The generic
+    :meth:`WitnessDB.put` / :meth:`WitnessDB.find` store and probe all
+    of them; a hit requires an exact definition match.  A new kind is
+    one dataclass and one table entry.
 
-``"census-cell"``
-    One cell of the below-bound census — the full
-    :class:`~repro.experiments.census.CensusRow` payload plus the cell's
-    experiment definition and a pointer to its witness record.  This is
-    what lets ``repro-dynamo census --db`` skip the sharded pool
-    entirely on a re-run: negative scans (sizes searched without a
-    witness) are part of the row, so the cache reproduces the row
-    bitwise without holding non-witness records.
+    * ``"census-cell"`` (:class:`CensusCellRecord`) — one below-bound
+      census cell: the full :class:`~repro.experiments.census.CensusRow`
+      payload plus a pointer to its witness record.  Negative scans are
+      part of the row, so ``repro-dynamo census --db`` skips the sharded
+      pool entirely on a re-run.
+    * ``"scale-free-cell"`` (:class:`ScaleFreeCellRecord`) and
+      ``"async-summary"`` (:class:`AsyncSummaryRecord`) — the
+      scale-free takeover census and async-robustness statistics.
+    * ``"search"`` (:class:`SearchRecord`) — one search invocation's
+      summary, the consult-before-recompute cache of
+      :mod:`repro.core.search`.
 
 Re-verification (:func:`verify_witness`) replays a stored configuration
 through the batched engine and checks it still reaches the
@@ -65,25 +70,31 @@ store.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    Any,
+    Callable,
     Dict,
     Iterator,
     List,
     Optional,
     Tuple,
+    Type,
     TypeVar,
     Union,
+    cast,
 )
 
 import numpy as np
 
 from .. import obs
 from ..engine.batch import run_batch
-from ..rules import make_rule
+from ..rules import RULE_NAMES, make_rule
 from ..rules.base import Rule
 
 if TYPE_CHECKING:  # type-only: keep io importable without the backends
@@ -94,6 +105,7 @@ from .serialize import (
     WITNESS_SCHEMA,
     WitnessFormatError,
     WitnessRecord,
+    check_schema,
     witness_from_dict,
     witness_to_dict,
 )
@@ -101,10 +113,15 @@ from .serialize import (
 __all__ = [
     "AsyncSummaryRecord",
     "CensusCellRecord",
+    "KeyedRecord",
+    "RECORD_KINDS",
+    "RecordKind",
     "ScaleFreeCellRecord",
     "SearchRecord",
     "WitnessDB",
     "WitnessVerification",
+    "record_from_dict",
+    "record_to_dict",
     "rule_registry_name",
     "verify_witness",
 ]
@@ -113,17 +130,12 @@ PathLike = Union[str, Path]
 
 #: cache-probe result type (see :meth:`WitnessDB._probed`)
 _R = TypeVar("_R")
+#: a keyed record class (see :meth:`WitnessDB.find`)
+_K = TypeVar("_K", bound="KeyedRecord")
 
 #: class-name -> registry-name map used when recording witnesses found
 #: under a rule instance (falls back to the class name for custom rules)
-_RULE_CLASS_NAMES = {
-    "SMPRule": "smp",
-    "ReverseSimpleMajority": "majority",
-    "ReverseStrongMajority": "strong-majority",
-    "GeneralizedPluralityRule": "plurality",
-    "OrderedIncrementRule": "ordered",
-    "LinearThresholdRule": "threshold",
-}
+_RULE_CLASS_NAMES = {type(make_rule(name)).__name__: name for name in RULE_NAMES}
 
 
 def _state_matches(a: Rule, b: Rule) -> bool:
@@ -168,103 +180,66 @@ def rule_registry_name(rule: Rule, num_colors: Optional[int] = None) -> str:
     return name
 
 
-def _canonical(definition: Optional[dict]) -> Optional[dict]:
-    """JSON-normalize a definition dict so dict equality matches what a
-    load from disk produces (tuples -> lists, numpy ints -> ints)."""
-    if definition is None:
-        return None
-    return json.loads(json.dumps(definition, sort_keys=True))
+# -- keyed record kinds -------------------------------------------------
+def _object(value: Any) -> dict:
+    """A definition/row field: a JSON object, normalized so dict equality
+    matches what a load from disk produces (tuples -> lists, numpy ints
+    -> ints)."""
+    if not isinstance(value, dict):
+        raise TypeError(f"must be an object, got {type(value).__name__}")
+    return cast(dict, json.loads(json.dumps(value, sort_keys=True)))
 
 
-def _tagged_id(tag: str, *parts: object) -> str:
-    import hashlib
-
-    identity = json.dumps([tag, *parts], sort_keys=True, separators=(",", ":"))
-    return hashlib.sha1(identity.encode()).hexdigest()[:12]
-
-
-def _cell_id(kind: str, n: int, definition: dict) -> str:
-    return _tagged_id("census-cell", str(kind), int(n), _canonical(definition))
+def _str_list(value: Any) -> List[str]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"must be a list of strings, got {value!r}")
+    return list(value)
 
 
-def _search_id(definition: dict) -> str:
-    return _tagged_id("search", _canonical(definition))
+def _coerced(coerce: Callable[[Any], Any], **kwargs: Any) -> Any:
+    """A dataclass field whose value ``coerce`` normalizes (and checks)."""
+    return field(metadata={"coerce": coerce}, **kwargs)
+
+
+class KeyedRecord:
+    """Base of the keyed record kinds: coerces every field that declares
+    a coercer (a bad value raises :class:`WitnessFormatError` naming the
+    field), then derives the id from the kind's id fields."""
+
+    schema: int
+    id: str
+
+    def __post_init__(self) -> None:
+        kind = _KIND_OF[type(self)]
+        for name, coerce in kind.coercers.items():
+            try:
+                setattr(self, name, coerce(getattr(self, name)))
+            except (TypeError, ValueError) as exc:
+                raise WitnessFormatError(f"{name}: {exc}") from None
+        if not self.id:
+            self.id = kind.id_of(*(getattr(self, name) for name in kind.id_fields))
 
 
 @dataclass
-class CensusCellRecord:
+class CensusCellRecord(KeyedRecord):
     """One cached below-bound-census cell: row payload + definition."""
 
-    kind: str
-    n: int
+    kind: str = _coerced(str)
+    n: int = _coerced(int)
     #: the cell's experiment definition (seed, trials, batch/shard
     #: geometry) — cache hits require an exact match
-    definition: dict
+    definition: dict = _coerced(_object)
     #: the full CensusRow fields, as a plain dict
-    row: dict
+    row: dict = _coerced(_object)
     #: id of the cell's witness record (``None`` when the cell certified
     #: nothing)
     witness_id: Optional[str] = None
     schema: int = WITNESS_SCHEMA
     id: str = ""
 
-    def __post_init__(self) -> None:
-        self.n = int(self.n)
-        self.definition = _canonical(self.definition)
-        self.row = _canonical(self.row)
-        if not self.id:
-            self.id = _cell_id(self.kind, self.n, self.definition)
-
-
-def _cell_to_dict(cell: CensusCellRecord) -> dict:
-    return {
-        "type": "census-cell",
-        "schema": int(cell.schema),
-        "id": cell.id,
-        "kind": cell.kind,
-        "n": cell.n,
-        "definition": cell.definition,
-        "row": cell.row,
-        "witness_id": cell.witness_id,
-    }
-
-
-def _cell_from_dict(payload: dict) -> CensusCellRecord:
-    schema = payload.get("schema")
-    if not isinstance(schema, int) or schema > WITNESS_SCHEMA:
-        raise WitnessFormatError(f"bad census-cell schema {schema!r}")
-    try:
-        cell = CensusCellRecord(
-            kind=str(payload["kind"]),
-            n=int(payload["n"]),
-            definition=payload["definition"],
-            row=payload["row"],
-            witness_id=payload.get("witness_id"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WitnessFormatError(f"malformed census-cell record: {exc}") from None
-    if not isinstance(cell.definition, dict) or not isinstance(cell.row, dict):
-        raise WitnessFormatError("census-cell definition/row must be objects")
-    stored = payload.get("id", "")
-    if stored and stored != cell.id:
-        raise WitnessFormatError(
-            f"stored census-cell id {stored!r} does not match {cell.id!r}"
-        )
-    return cell
-
-
-def _scale_free_cell_id(strategy: str, seed_fraction: float, definition: dict) -> str:
-    return _tagged_id(
-        "scale-free-cell", str(strategy), float(seed_fraction), _canonical(definition)
-    )
-
-
-def _async_summary_id(label: str, definition: dict) -> str:
-    return _tagged_id("async-summary", str(label), _canonical(definition))
-
 
 @dataclass
-class ScaleFreeCellRecord:
+class ScaleFreeCellRecord(KeyedRecord):
     """One cached scale-free takeover-census cell.
 
     A cell is one ``(strategy, seed_fraction)`` point of
@@ -276,66 +251,19 @@ class ScaleFreeCellRecord:
     bitwise-invisible to outcomes, so they never join the cache key.
     """
 
-    strategy: str
-    seed_fraction: float
+    strategy: str = _coerced(str)
+    seed_fraction: float = _coerced(float)
     #: the cell's experiment definition (seed, graph/replica counts,
     #: dynamics version, ...) — cache hits require an exact match
-    definition: dict
+    definition: dict = _coerced(_object)
     #: aggregated statistics for the cell, as a plain dict
-    row: dict
+    row: dict = _coerced(_object)
     schema: int = WITNESS_SCHEMA
     id: str = ""
 
-    def __post_init__(self) -> None:
-        self.strategy = str(self.strategy)
-        self.seed_fraction = float(self.seed_fraction)
-        self.definition = _canonical(self.definition)
-        self.row = _canonical(self.row)
-        if not self.id:
-            self.id = _scale_free_cell_id(
-                self.strategy, self.seed_fraction, self.definition
-            )
-
-
-def _scale_free_cell_to_dict(cell: ScaleFreeCellRecord) -> dict:
-    return {
-        "type": "scale-free-cell",
-        "schema": int(cell.schema),
-        "id": cell.id,
-        "strategy": cell.strategy,
-        "seed_fraction": cell.seed_fraction,
-        "definition": cell.definition,
-        "row": cell.row,
-    }
-
-
-def _scale_free_cell_from_dict(payload: dict) -> ScaleFreeCellRecord:
-    schema = payload.get("schema")
-    if not isinstance(schema, int) or schema > WITNESS_SCHEMA:
-        raise WitnessFormatError(f"bad scale-free-cell schema {schema!r}")
-    try:
-        cell = ScaleFreeCellRecord(
-            strategy=str(payload["strategy"]),
-            seed_fraction=float(payload["seed_fraction"]),
-            definition=payload["definition"],
-            row=payload["row"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WitnessFormatError(
-            f"malformed scale-free-cell record: {exc}"
-        ) from None
-    if not isinstance(cell.definition, dict) or not isinstance(cell.row, dict):
-        raise WitnessFormatError("scale-free-cell definition/row must be objects")
-    stored = payload.get("id", "")
-    if stored and stored != cell.id:
-        raise WitnessFormatError(
-            f"stored scale-free-cell id {stored!r} does not match {cell.id!r}"
-        )
-    return cell
-
 
 @dataclass
-class AsyncSummaryRecord:
+class AsyncSummaryRecord(KeyedRecord):
     """One cached async-robustness summary.
 
     ``label`` names the configuration under test (a construction name);
@@ -345,57 +273,17 @@ class AsyncSummaryRecord:
     statistics bitwise without re-running a single sweep.
     """
 
-    label: str
+    label: str = _coerced(str)
     #: the experiment definition — cache hits require an exact match
-    definition: dict
+    definition: dict = _coerced(_object)
     #: the AsyncRobustness fields, as a plain dict
-    row: dict
+    row: dict = _coerced(_object)
     schema: int = WITNESS_SCHEMA
     id: str = ""
 
-    def __post_init__(self) -> None:
-        self.label = str(self.label)
-        self.definition = _canonical(self.definition)
-        self.row = _canonical(self.row)
-        if not self.id:
-            self.id = _async_summary_id(self.label, self.definition)
-
-
-def _async_summary_to_dict(rec: AsyncSummaryRecord) -> dict:
-    return {
-        "type": "async-summary",
-        "schema": int(rec.schema),
-        "id": rec.id,
-        "label": rec.label,
-        "definition": rec.definition,
-        "row": rec.row,
-    }
-
-
-def _async_summary_from_dict(payload: dict) -> AsyncSummaryRecord:
-    schema = payload.get("schema")
-    if not isinstance(schema, int) or schema > WITNESS_SCHEMA:
-        raise WitnessFormatError(f"bad async-summary schema {schema!r}")
-    try:
-        rec = AsyncSummaryRecord(
-            label=str(payload["label"]),
-            definition=payload["definition"],
-            row=payload["row"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WitnessFormatError(f"malformed async-summary record: {exc}") from None
-    if not isinstance(rec.definition, dict) or not isinstance(rec.row, dict):
-        raise WitnessFormatError("async-summary definition/row must be objects")
-    stored = payload.get("id", "")
-    if stored and stored != rec.id:
-        raise WitnessFormatError(
-            f"stored async-summary id {stored!r} does not match {rec.id!r}"
-        )
-    return rec
-
 
 @dataclass
-class SearchRecord:
+class SearchRecord(KeyedRecord):
     """One search invocation's summary: definition -> recorded witnesses.
 
     The cache key of the consult-before-recompute path.  ``witness_ids``
@@ -407,63 +295,138 @@ class SearchRecord:
 
     #: the exact search definition (every parameter that influences the
     #: outcome); cache hits require an exact match
-    definition: dict
+    definition: dict = _coerced(_object)
     #: recorded witness ids, in recording order (capped representatives)
-    witness_ids: List[str] = field(default_factory=list)
+    witness_ids: List[str] = _coerced(_str_list, default_factory=list)
     #: configurations the original search examined
-    examined: int = 0
+    examined: int = _coerced(int, default=0)
     #: the original search covered every configuration
-    exhaustive: bool = False
+    exhaustive: bool = _coerced(bool, default=False)
     #: total witnesses the original search found (>= len(witness_ids))
-    witnesses_found: int = 0
+    witnesses_found: int = _coerced(int, default=0)
     schema: int = WITNESS_SCHEMA
     id: str = ""
 
-    def __post_init__(self) -> None:
-        self.definition = _canonical(self.definition)
-        self.witness_ids = [str(w) for w in self.witness_ids]
-        self.examined = int(self.examined)
-        self.exhaustive = bool(self.exhaustive)
-        self.witnesses_found = int(self.witnesses_found)
-        if not self.id:
-            self.id = _search_id(self.definition)
+
+@dataclass(frozen=True)
+class RecordKind:
+    """How one keyed record kind is stored: one row of :data:`RECORD_KINDS`."""
+
+    #: the line's ``type`` tag
+    tag: str
+    #: the record dataclass (a :class:`KeyedRecord` subclass)
+    cls: Type[Any]
+    #: the fields hashed, with the tag, into the record id — the cache
+    #: key :meth:`WitnessDB.find` probes, in probe-argument order
+    id_fields: Tuple[str, ...]
+    #: the kind's name in corpus summaries (the service's ``/health``)
+    collection: str
+
+    @cached_property
+    def payload_fields(self) -> Tuple[str, ...]:
+        """The serialized fields after ``type``/``schema``/``id``."""
+        return tuple(
+            f.name
+            for f in dataclasses.fields(self.cls)
+            if f.name not in ("schema", "id")
+        )
+
+    @cached_property
+    def coercers(self) -> Dict[str, Callable[[Any], Any]]:
+        return {
+            f.name: f.metadata["coerce"]
+            for f in dataclasses.fields(self.cls)
+            if "coerce" in f.metadata
+        }
+
+    def id_of(self, *key: Any) -> str:
+        """Id of the record whose :attr:`id_fields` hold ``key``."""
+        if len(key) != len(self.id_fields):
+            raise TypeError(f"{self.tag} id fields are {self.id_fields}, got {key!r}")
+        parts = [self.coercers[name](v) for name, v in zip(self.id_fields, key)]
+        identity = json.dumps([self.tag, *parts], sort_keys=True, separators=(",", ":"))
+        return hashlib.sha1(identity.encode()).hexdigest()[:12]
 
 
-def _search_to_dict(rec: SearchRecord) -> dict:
+#: the keyed record kinds by type tag
+RECORD_KINDS: Dict[str, RecordKind] = {
+    kind.tag: kind
+    for kind in (
+        RecordKind(
+            "census-cell",
+            CensusCellRecord,
+            ("kind", "n", "definition"),
+            "census_cells",
+        ),
+        RecordKind(
+            "scale-free-cell",
+            ScaleFreeCellRecord,
+            ("strategy", "seed_fraction", "definition"),
+            "scale_free_cells",
+        ),
+        RecordKind(
+            "async-summary",
+            AsyncSummaryRecord,
+            ("label", "definition"),
+            "async_summaries",
+        ),
+        RecordKind("search", SearchRecord, ("definition",), "searches"),
+    )
+}
+_KIND_OF: Dict[type, RecordKind] = {kind.cls: kind for kind in RECORD_KINDS.values()}
+
+StoreRecord = Union[WitnessRecord, KeyedRecord]
+
+
+def record_to_dict(record: StoreRecord) -> dict:
+    """Serialize any store record to its JSON-line payload.
+
+    Returns a dict of plain JSON types led by ``type``, ``schema`` and
+    ``id``; :func:`record_from_dict` inverts it exactly.
+    """
+    if isinstance(record, WitnessRecord):
+        return witness_to_dict(record)
+    kind = _KIND_OF[type(record)]
     return {
-        "type": "search",
-        "schema": int(rec.schema),
-        "id": rec.id,
-        "definition": rec.definition,
-        "witness_ids": rec.witness_ids,
-        "examined": rec.examined,
-        "exhaustive": rec.exhaustive,
-        "witnesses_found": rec.witnesses_found,
+        "type": kind.tag,
+        "schema": int(record.schema),
+        "id": record.id,
+        **{name: getattr(record, name) for name in kind.payload_fields},
     }
 
 
-def _search_from_dict(payload: dict) -> SearchRecord:
-    schema = payload.get("schema")
-    if not isinstance(schema, int) or schema > WITNESS_SCHEMA:
-        raise WitnessFormatError(f"bad search-record schema {schema!r}")
+def record_from_dict(payload: Any) -> StoreRecord:
+    """Deserialize (and validate) one JSON-line payload of any kind.
+
+    Lines tagged ``"witness"``, and untagged legacy lines, go through
+    :func:`~repro.io.serialize.witness_from_dict`; the keyed kinds go
+    through their :data:`RECORD_KINDS` entry.
+
+    Raises
+    ------
+    WitnessFormatError
+        On an unknown type tag, a bad or newer ``schema``, missing or
+        malformed fields, or a stored id that contradicts the content.
+    """
+    tag = payload.get("type", "witness") if isinstance(payload, dict) else "witness"
+    if tag == "witness":
+        return witness_from_dict(payload)
+    kind = RECORD_KINDS.get(tag) if isinstance(tag, str) else None
+    if kind is None:
+        raise WitnessFormatError(f"unknown record type {tag!r}")
+    check_schema(payload.get("schema"))
     try:
-        rec = SearchRecord(
-            definition=payload["definition"],
-            witness_ids=payload.get("witness_ids") or [],
-            examined=payload.get("examined", 0),
-            exhaustive=payload.get("exhaustive", False),
-            witnesses_found=payload.get("witnesses_found", 0),
+        record = kind.cls(
+            **{k: payload[k] for k in kind.payload_fields if k in payload}
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WitnessFormatError(f"malformed search record: {exc}") from None
-    if not isinstance(rec.definition, dict):
-        raise WitnessFormatError("search definition must be an object")
+    except (TypeError, ValueError) as exc:
+        raise WitnessFormatError(f"malformed {tag} record: {exc}") from None
     stored = payload.get("id", "")
-    if stored and stored != rec.id:
+    if stored and stored != record.id:
         raise WitnessFormatError(
-            f"stored search id {stored!r} does not match {rec.id!r}"
+            f"stored {tag} id {stored!r} does not match {record.id!r}"
         )
-    return rec
+    return record
 
 
 @dataclass
@@ -570,14 +533,10 @@ class WitnessDB:
         self._store = JsonlStore(self.path)
         #: witness records by id, last-appended-wins
         self._records: Dict[str, WitnessRecord] = {}
-        #: census-cell records by id
-        self._cells: Dict[str, CensusCellRecord] = {}
-        #: scale-free census cells by id
-        self._scale_free_cells: Dict[str, ScaleFreeCellRecord] = {}
-        #: async-robustness summaries by id
-        self._async_summaries: Dict[str, AsyncSummaryRecord] = {}
-        #: search summaries by id
-        self._searches: Dict[str, SearchRecord] = {}
+        #: keyed records: type tag -> {id: record}, last-appended-wins
+        self._keyed: Dict[str, Dict[str, KeyedRecord]] = {
+            tag: {} for tag in RECORD_KINDS
+        }
         #: index: (rule, kind, m, n, colors) -> [witness ids]
         self._by_key: Dict[Tuple[str, str, int, int, int], List[str]] = {}
         #: unreadable lines as (1-based line number, message)
@@ -604,33 +563,17 @@ class WitnessDB:
             if scanned.error is not None:
                 self._corrupt_line(lineno, scanned.error)
                 continue
-            payload = scanned.payload
             try:
-                if isinstance(payload, dict) and payload.get("type") == "census-cell":
-                    cell = _cell_from_dict(payload)
-                    self._cells[cell.id] = cell
-                elif (
-                    isinstance(payload, dict)
-                    and payload.get("type") == "scale-free-cell"
-                ):
-                    sf = _scale_free_cell_from_dict(payload)
-                    self._scale_free_cells[sf.id] = sf
-                elif (
-                    isinstance(payload, dict)
-                    and payload.get("type") == "async-summary"
-                ):
-                    asum = _async_summary_from_dict(payload)
-                    self._async_summaries[asum.id] = asum
-                elif isinstance(payload, dict) and payload.get("type") == "search":
-                    rec = _search_from_dict(payload)
-                    self._searches[rec.id] = rec
-                else:
-                    record = witness_from_dict(payload)
-                    if record.method == "legacy":
-                        self.legacy_upgraded += 1
-                    self._index(record)
+                record = record_from_dict(scanned.payload)
             except WitnessFormatError as exc:
                 self._corrupt_line(lineno, str(exc))
+                continue
+            if isinstance(record, WitnessRecord):
+                if record.method == "legacy":
+                    self.legacy_upgraded += 1
+                self._index(record)
+            else:
+                self._keyed[_KIND_OF[type(record)].tag][record.id] = record
 
     def _corrupt_line(self, lineno: int, message: str) -> None:
         if self.strict:
@@ -688,45 +631,24 @@ class WitnessDB:
         self._append(witness_to_dict(record))
         return True
 
+    def put(self, record: KeyedRecord) -> bool:
+        """Record a keyed record; returns ``True`` when a line was appended.
+
+        A record identical to the stored one under its id is not
+        re-appended; a different one supersedes it (last-wins).
+        """
+        payload = record_to_dict(record)
+        stored = self._keyed[payload["type"]]
+        existing = stored.get(record.id)
+        if existing is not None and record_to_dict(existing) == payload:
+            return False
+        stored[record.id] = record
+        self._append(payload)
+        return True
+
     def add_cell(self, cell: CensusCellRecord) -> bool:
-        """Record a census cell; identical cells are not re-appended."""
-        existing = self._cells.get(cell.id)
-        if existing is not None and _cell_to_dict(existing) == _cell_to_dict(cell):
-            return False
-        self._cells[cell.id] = cell
-        self._append(_cell_to_dict(cell))
-        return True
-
-    def add_scale_free_cell(self, cell: ScaleFreeCellRecord) -> bool:
-        """Record a scale-free cell; identical cells are not re-appended."""
-        existing = self._scale_free_cells.get(cell.id)
-        if existing is not None and _scale_free_cell_to_dict(
-            existing
-        ) == _scale_free_cell_to_dict(cell):
-            return False
-        self._scale_free_cells[cell.id] = cell
-        self._append(_scale_free_cell_to_dict(cell))
-        return True
-
-    def add_async_summary(self, rec: AsyncSummaryRecord) -> bool:
-        """Record an async summary; identical summaries are not re-appended."""
-        existing = self._async_summaries.get(rec.id)
-        if existing is not None and _async_summary_to_dict(
-            existing
-        ) == _async_summary_to_dict(rec):
-            return False
-        self._async_summaries[rec.id] = rec
-        self._append(_async_summary_to_dict(rec))
-        return True
-
-    def add_search(self, rec: SearchRecord) -> bool:
-        """Record a search summary; identical summaries are not re-appended."""
-        existing = self._searches.get(rec.id)
-        if existing is not None and _search_to_dict(existing) == _search_to_dict(rec):
-            return False
-        self._searches[rec.id] = rec
-        self._append(_search_to_dict(rec))
-        return True
+        """Record a census cell (:meth:`put`)."""
+        return self.put(cell)
 
     # -- querying ------------------------------------------------------
     def __len__(self) -> int:
@@ -735,21 +657,13 @@ class WitnessDB:
     def __iter__(self) -> Iterator[WitnessRecord]:
         return iter(self._records.values())
 
+    def records(self, cls: Type[_K]) -> List[_K]:
+        """The stored records of one keyed kind, in insertion order."""
+        return cast(List[_K], list(self._keyed[_KIND_OF[cls].tag].values()))
+
     @property
     def cells(self) -> List[CensusCellRecord]:
-        return list(self._cells.values())
-
-    @property
-    def scale_free_cells(self) -> List[ScaleFreeCellRecord]:
-        return list(self._scale_free_cells.values())
-
-    @property
-    def async_summaries(self) -> List[AsyncSummaryRecord]:
-        return list(self._async_summaries.values())
-
-    @property
-    def searches(self) -> List[SearchRecord]:
-        return list(self._searches.values())
+        return self.records(CensusCellRecord)
 
     def get(self, witness_id: str) -> Optional[WitnessRecord]:
         """Exact-id lookup."""
@@ -818,44 +732,26 @@ class WitnessDB:
         ]
         return min(candidates, key=lambda r: r.seed_size, default=None)
 
-    def find_search(self, definition: dict) -> Optional[SearchRecord]:
-        """Search-summary cache probe (exact definition match).
+    def find(self, cls: Type[_K], *key: Any) -> Optional[_K]:
+        """Cache probe: the stored ``cls`` record whose id fields (its
+        :attr:`RecordKind.id_fields`, in order) equal ``key``.
 
-        This is the consult-before-recompute probe used by
-        :func:`repro.core.search.exhaustive_dynamo_search` and
-        :func:`repro.core.search.random_dynamo_search`: the definition
-        dict pins every parameter that influences the search outcome
-        (mode, rule, topology, seed material, trial counts, batch and
-        shard geometry), so a hit reproduces the original outcome's
-        flags and (recorded) witnesses exactly.
+        This is the consult-before-recompute probe of every keyed kind:
+        the definition dict in the key pins every parameter that
+        influences the outcome (seed material, trial counts, batch and
+        shard geometry, ...), so a hit reproduces the original result
+        exactly — e.g. ``find(SearchRecord, definition)`` in
+        :func:`repro.core.search.random_dynamo_search`.
         """
-        return self._probed("search", self._searches.get(_search_id(definition)))
+        kind = _KIND_OF[cls]
+        hit = self._keyed[kind.tag].get(kind.id_of(*key))
+        return cast(Optional[_K], self._probed(kind.tag, hit))
 
     def find_cell(
         self, kind: str, n: int, definition: dict
     ) -> Optional[CensusCellRecord]:
-        """Census-cell cache probe (exact experiment-definition match)."""
-        return self._probed("cell", self._cells.get(_cell_id(kind, n, definition)))
-
-    def find_scale_free_cell(
-        self, strategy: str, seed_fraction: float, definition: dict
-    ) -> Optional[ScaleFreeCellRecord]:
-        """Scale-free-cell cache probe (exact definition match)."""
-        return self._probed(
-            "scale-free-cell",
-            self._scale_free_cells.get(
-                _scale_free_cell_id(strategy, seed_fraction, definition)
-            ),
-        )
-
-    def find_async_summary(
-        self, label: str, definition: dict
-    ) -> Optional[AsyncSummaryRecord]:
-        """Async-summary cache probe (exact definition match)."""
-        return self._probed(
-            "async-summary",
-            self._async_summaries.get(_async_summary_id(label, definition)),
-        )
+        """Census-cell cache probe (:meth:`find`)."""
+        return self.find(CensusCellRecord, kind, n, definition)
 
     # -- verification --------------------------------------------------
     def verify(
@@ -883,19 +779,7 @@ class WitnessDB:
         outcome = verify_witness(record, max_rounds=max_rounds, backend=backend)
         stored = record.id in self._records
         if update and stored and record.verified != outcome.ok:
-            stamped = WitnessRecord(
-                **{
-                    **{
-                        f: getattr(record, f)
-                        for f in (
-                            "rule", "kind", "m", "n", "colors", "k",
-                            "seed_size", "monotone", "configuration",
-                            "method", "provenance",
-                        )
-                    },
-                    "verified": outcome.ok,
-                }
-            )
+            stamped = dataclasses.replace(record, verified=outcome.ok)
             # direct supersede: skip the verified-stamp merge in add()
             self._index(stamped)
             self._append(witness_to_dict(stamped))

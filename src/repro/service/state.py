@@ -20,6 +20,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .. import obs
 from ..io.query import QueryError, WitnessQueryIndex
+from ..io.witnessdb import RECORD_KINDS
 from .jobs import JobManager, JobValidationError
 
 __all__ = ["ServiceState"]
@@ -93,10 +94,10 @@ class ServiceState:
             "status": "ok",
             "db": str(self.db_path),
             "witnesses": len(db),
-            "census_cells": len(db.cells),
-            "scale_free_cells": len(db.scale_free_cells),
-            "async_summaries": len(db.async_summaries),
-            "searches": len(db.searches),
+            **{
+                kind.collection: len(db.records(kind.cls))
+                for kind in RECORD_KINDS.values()
+            },
         }
 
     def list_witnesses(self, params: Mapping[str, str]) -> Response:

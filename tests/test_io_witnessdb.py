@@ -412,20 +412,23 @@ def test_scale_free_cell_roundtrip_idempotence_and_probes(tmp_path):
         definition={"experiment": "scale-free-takeover", "seed": 1},
         row={"strategy": "hubs", "seed_fraction": 0.05, "takeover_rate": 0.5},
     )
-    assert db.add_scale_free_cell(rec) is True
-    assert db.add_scale_free_cell(rec) is False  # idempotent
+    assert db.put(rec) is True
+    assert db.put(rec) is False  # idempotent
     back = WitnessDB(path)
-    hit = back.find_scale_free_cell(
-        "hubs", 0.05, {"experiment": "scale-free-takeover", "seed": 1}
+    hit = back.find(
+        ScaleFreeCellRecord,
+        "hubs", 0.05, {"experiment": "scale-free-takeover", "seed": 1},
     )
     assert hit is not None and hit.row == rec.row and hit.id == rec.id
-    assert back.find_scale_free_cell(
-        "hubs", 0.05, {"experiment": "scale-free-takeover", "seed": 2}
+    assert back.find(
+        ScaleFreeCellRecord,
+        "hubs", 0.05, {"experiment": "scale-free-takeover", "seed": 2},
     ) is None
-    assert back.find_scale_free_cell(
-        "random", 0.05, {"experiment": "scale-free-takeover", "seed": 1}
+    assert back.find(
+        ScaleFreeCellRecord,
+        "random", 0.05, {"experiment": "scale-free-takeover", "seed": 1},
     ) is None
-    assert len(back.scale_free_cells) == 1
+    assert len(back.records(ScaleFreeCellRecord)) == 1
 
 
 def test_async_summary_roundtrip_idempotence_and_probes(tmp_path):
@@ -438,17 +441,17 @@ def test_async_summary_roundtrip_idempotence_and_probes(tmp_path):
         definition={"experiment": "async-robustness", "root": 7, "trials": 5},
         row={"trials": 5, "takeover_rate": 1.0},
     )
-    assert db.add_async_summary(rec) is True
-    assert db.add_async_summary(rec) is False
+    assert db.put(rec) is True
+    assert db.put(rec) is False
     back = WitnessDB(path)
-    hit = back.find_async_summary(
-        "theorem2_mesh",
+    hit = back.find(
+        AsyncSummaryRecord, "theorem2_mesh",
         {"experiment": "async-robustness", "root": 7, "trials": 5},
     )
     assert hit is not None and hit.row == rec.row
-    assert back.find_async_summary("other", rec.definition) is None
-    assert back.find_async_summary("theorem2_mesh", {"root": 8}) is None
-    assert len(back.async_summaries) == 1
+    assert back.find(AsyncSummaryRecord, "other", rec.definition) is None
+    assert back.find(AsyncSummaryRecord, "theorem2_mesh", {"root": 8}) is None
+    assert len(back.records(AsyncSummaryRecord)) == 1
 
 
 def test_new_record_kind_ids_are_seed_stable():
@@ -481,7 +484,7 @@ def test_new_record_kinds_reject_tampering(tmp_path):
     from repro.io import ScaleFreeCellRecord
 
     path = tmp_path / "w.jsonl"
-    WitnessDB(path).add_scale_free_cell(
+    WitnessDB(path).put(
         ScaleFreeCellRecord(
             strategy="hubs", seed_fraction=0.05,
             definition={"seed": 1}, row={},
@@ -491,7 +494,7 @@ def test_new_record_kinds_reject_tampering(tmp_path):
     line["strategy"] = "random"  # id no longer matches the content
     path.write_text(json.dumps(line) + "\n")
     back = WitnessDB(path)
-    assert len(back.scale_free_cells) == 0
+    assert len(back.records(ScaleFreeCellRecord)) == 0
     assert back.corrupt and "does not match" in back.corrupt[0][1]
 
 
