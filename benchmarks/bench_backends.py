@@ -1,4 +1,4 @@
-"""Kernel-backend throughput: reference vs stencil vs (optional) numba.
+"""Kernel-backend throughput: reference vs stencil.
 
 Two entry points:
 

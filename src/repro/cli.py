@@ -20,14 +20,17 @@ Subcommands
                shard, replicas advanced as batched blocks; with ``--db``,
                cells cache as ``scale-free-cell`` records
 ``async``      update-order robustness of a packaged construction: many
-               random sequential schedules as one batch (``--engine
-               scalar`` replays the bitwise-identical scalar loop); with
-               ``--db``, summaries cache as ``async-summary`` records
+               random sequential schedules as one batch; with ``--db``,
+               summaries cache as ``async-summary`` records
 ``witness``    query the witness database: ``list`` / ``show`` /
                ``verify`` / ``export``
 ``telemetry``  aggregate a telemetry stream recorded with ``--telemetry``
                into a run report: slowest shards, plan-cache hit rate,
                retry counts, time per phase (``--json`` for machines)
+
+``search`` and ``census`` declare their parameters in
+:mod:`repro.params`, the table the HTTP service's job bodies are
+validated against too, so both front ends share defaults and bounds.
 
 Examples
 --------
@@ -48,7 +51,7 @@ Examples
     repro-dynamo scale-free --n 300 --graphs 4 --replicas 32 --processes 4
     repro-dynamo scale-free --db results/witnesses.jsonl
     repro-dynamo async mesh 9 9 --trials 50 --seed 42
-    repro-dynamo async serpentinus 7 7 --engine scalar --db results/witnesses.jsonl
+    repro-dynamo async serpentinus 7 7 --db results/witnesses.jsonl
     repro-dynamo witness list
     repro-dynamo witness verify --all
     repro-dynamo census --sizes 3 --processes 4 --telemetry runs/census.tel
@@ -72,8 +75,10 @@ from .engine.runner import run_synchronous
 from .experiments.sweeps import convergence_sweep, square_points, sweep_rounds
 from .io.ledger import LedgerError
 from .io.serialize import load_configuration, save_configuration
+from .params import CENSUS, SEARCH, TABLES
 from .rules import RULE_NAMES
 from .rules.smp import SMPRule
+from .topology.tori import TORUS_KINDS
 from .viz.render import render_grid, render_time_matrix
 
 __all__ = ["main", "build_parser"]
@@ -122,8 +127,8 @@ def _backend_arg(value: str) -> str:
     prompt.  Availability of optional dependencies is checked at
     dispatch time (:func:`_check_backend_available`), keeping parsing
     side-effect-free — the docs smoke checker parses every documented
-    invocation, including ``--backend numba``, on machines without
-    numba."""
+    invocation, including ones naming a registered backend whose
+    optional dependency this machine lacks."""
     from .engine.backends import BackendUnavailableError, select_backend
 
     try:
@@ -291,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_torus_args(sp):
-        sp.add_argument("kind", choices=["mesh", "cordalis", "serpentinus"])
+        sp.add_argument("kind", choices=TORUS_KINDS)
         sp.add_argument("m", type=int)
         sp.add_argument("n", type=int)
         sp.add_argument("--target-color", type=int, default=1, metavar="K")
@@ -314,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_torus_args(sp)
 
     sp = sub.add_parser("sweep", help="round-count sweep over square sizes")
-    sp.add_argument("kind", choices=["mesh", "cordalis", "serpentinus"])
+    sp.add_argument("kind", choices=TORUS_KINDS)
     sp.add_argument("sizes", type=int, nargs="+")
     sp.add_argument(
         "--processes",
@@ -367,45 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
         "census",
         help="below-bound dynamo census (the Theorem 1/3/5 audit table)",
     )
-    sp.add_argument(
-        "--kinds",
-        nargs="+",
-        choices=["mesh", "cordalis", "serpentinus"],
-        default=["mesh", "cordalis", "serpentinus"],
-    )
-    sp.add_argument("--sizes", type=int, nargs="+", default=[3, 4, 5, 6])
-    sp.add_argument("--trials", type=int, default=20_000,
-                    help="random-search trials per (kind, size, seed size)")
-    sp.add_argument(
-        "--batch-size",
-        type=_positive_arg("--batch-size"),
-        default=8192,
-        metavar="B",
-        help="replica rows advanced per batched-engine call",
-    )
-    sp.add_argument(
-        "--processes",
-        type=_processes_arg,
-        default=0,
-        metavar="P",
-        help="worker processes sharding the random searches (0 runs "
-        "inline); results are identical at any count",
-    )
-    sp.add_argument(
-        "--shard-size",
-        type=_positive_arg("--shard-size"),
-        default=None,
-        metavar="S",
-        help="random trials per process shard (default: the batch size)",
-    )
+    CENSUS.add_arguments(sp)
     _add_backend_arg(sp, "the census searches")
     _add_plan_args(sp, "the census searches")
-    sp.add_argument(
-        "--seed",
-        type=int,
-        default=0xBEEF,
-        help="RNG root for the per-cell random searches",
-    )
     sp.add_argument(
         "--db",
         metavar="FILE",
@@ -420,38 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
         "search",
         help="one dynamo search on a torus (random, or --exhaustive)",
     )
-    sp.add_argument("kind", choices=["mesh", "cordalis", "serpentinus"])
-    sp.add_argument("m", type=int)
-    sp.add_argument("n", type=int)
-    sp.add_argument("--seed-size", type=int, required=True, metavar="S",
-                    help="number of target-color seed vertices")
-    sp.add_argument("--colors", type=int, default=4, metavar="C",
-                    help="palette size (default: 4)")
-    sp.add_argument("--target-color", type=int, default=0, metavar="K")
-    sp.add_argument("--rule", choices=list(RULE_NAMES), default="smp")
-    sp.add_argument("--exhaustive", action="store_true",
-                    help="enumerate every configuration instead of "
-                    "random trials (refuses oversized enumerations)")
-    sp.add_argument("--trials", type=int, default=20_000,
-                    help="random trials (ignored with --exhaustive)")
-    sp.add_argument("--seed", type=int, default=0xBEEF,
-                    help="RNG root of the random search")
-    sp.add_argument("--monotone-only", action="store_true",
-                    help="keep only monotone witnesses")
-    sp.add_argument("--batch-size", type=_positive_arg("--batch-size"),
-                    default=None, metavar="B")
-    sp.add_argument(
-        "--processes",
-        type=_processes_arg,
-        default=0,
-        metavar="P",
-        help="worker processes sharding the random trials (0 runs inline)",
-    )
-    sp.add_argument("--shard-size", type=_positive_arg("--shard-size"),
-                    default=None, metavar="S")
+    SEARCH.add_arguments(sp)
     _add_backend_arg(sp, "the search batches")
     _add_plan_args(sp, "the search batches")
-    sp.add_argument("--max-configs", type=int, default=20_000_000)
     sp.add_argument("--db", metavar="FILE",
                     help="witness database to consult and record into")
     _add_ledger_args(sp, "the search")
@@ -521,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="update-order robustness of a construction (random "
         "sequential schedules)",
     )
-    sp.add_argument("kind", choices=["mesh", "cordalis", "serpentinus"])
+    sp.add_argument("kind", choices=TORUS_KINDS)
     sp.add_argument("m", type=int)
     sp.add_argument("n", type=int)
     sp.add_argument("--target-color", type=int, default=1, metavar="K")
@@ -533,13 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=None,
                     help="schedule root (default: derived from a fixed "
                     "RNG, so runs are reproducible)")
-    sp.add_argument(
-        "--engine",
-        choices=["batch", "scalar"],
-        default="batch",
-        help="batched schedule engine or the scalar sweep loop; the two "
-        "are bitwise-identical, this only affects speed",
-    )
     sp.add_argument(
         "--db",
         metavar="FILE",
@@ -578,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     wp = wsub.add_parser("list", help="tabulate stored witnesses")
     add_db_arg(wp)
-    wp.add_argument("--kind", choices=["mesh", "cordalis", "serpentinus"])
+    wp.add_argument("--kind", choices=TORUS_KINDS)
     wp.add_argument("--rule")
     wp.add_argument("--method")
     wp.add_argument("--unverified", action="store_true",
@@ -625,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         "diagonal",
         help="build the below-bound diagonal dynamo (reproduction finding)",
     )
-    sp.add_argument("kind", choices=["mesh", "cordalis", "serpentinus"])
+    sp.add_argument("kind", choices=TORUS_KINDS)
     sp.add_argument("n", type=int)
 
     sp = sub.add_parser(
@@ -783,6 +716,11 @@ def _main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _check_backend_available(parser, args)
     _check_ledger_args(parser, args)
+    if args.command in TABLES:
+        try:
+            TABLES[args.command].check(vars(args), True)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     path = getattr(args, "telemetry", None)
     if path is None:
@@ -947,11 +885,6 @@ def _dispatch(parser, args) -> int:
         from .topology.tori import make_torus as _make_torus
 
         topo = _make_torus(args.kind, args.m, args.n)
-        if not 1 <= args.seed_size <= topo.num_vertices:
-            parser.error(
-                f"--seed-size must be in 1..{topo.num_vertices} on a "
-                f"{args.m}x{args.n} torus, got {args.seed_size}"
-            )
         rule = make_rule(args.rule, num_colors=args.colors)
         db = _open_db(args.db) if args.db else None
         if args.exhaustive:
@@ -1040,7 +973,6 @@ def _dispatch(parser, args) -> int:
             trials=args.trials,
             max_sweeps=args.max_sweeps,
             seed=args.seed,
-            engine=args.engine,
             db=_open_db(args.db) if args.db else None,
             label=con.name,
         )

@@ -3,7 +3,7 @@
 Every experiment in this reproduction bottoms out in per-rule
 ``step_batch`` kernels; this registry decouples *what* a rule computes
 (its declarative :class:`~repro.rules.base.KernelSpec`) from *how* the
-neighbor reduction executes.  Three backends ship:
+neighbor reduction executes.  Two backends ship:
 
 ``reference``
     Each rule's own ``step_batch`` kernel, unmodified — the semantic
@@ -15,12 +15,10 @@ neighbor reduction executes.  Three backends ship:
     instead of ``np.add.at``, and preallocated scratch — zero allocations
     per round.  Always available; what ``"auto"`` selects.
 
-``numba``
-    Optional JIT row-parallel kernels (``prange`` over replicas).  Lazy
-    import; selecting it without numba installed raises
-    :class:`BackendUnavailableError` with an actionable message.  Never
-    chosen by ``"auto"``: JIT warm-up dominates short runs, so it is an
-    explicit opt-in for long many-core workloads.
+Third-party backends register through :func:`register_backend`; one
+whose optional dependency is missing reports it through
+:meth:`KernelBackend.availability_error`, and selecting it raises
+:class:`BackendUnavailableError` with that message.
 
 The determinism contract (PR 2/3) makes this layer safe: any backend that
 passes the parity matrix is bitwise-interchangeable, so backend choice is
@@ -40,7 +38,6 @@ from ... import obs
 from ...rules.base import Rule
 from ...topology.base import Topology
 from .base import BackendUnavailableError, KernelBackend, Stepper, fallback_stepper
-from .numba_backend import NumbaBackend
 from .reference import ReferenceBackend
 from .stencil import StencilBackend
 
@@ -79,7 +76,6 @@ def register_backend(backend: KernelBackend) -> KernelBackend:
 
 register_backend(ReferenceBackend())
 register_backend(StencilBackend())
-register_backend(NumbaBackend())
 
 
 def backend_names() -> Tuple[str, ...]:

@@ -115,8 +115,8 @@ class KernelBackend(abc.ABC):
         :func:`~repro.engine.backends.select_backend` raises the message
         as :class:`BackendUnavailableError` and
         :func:`~repro.engine.backends.available_backend_names` filters
-        on it, so third-party backends get the same unavailability
-        handling as the shipped ``numba`` one.
+        on it, so every backend whose optional dependency is missing
+        gets the same unavailability handling.
         """
         return None
 

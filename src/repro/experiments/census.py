@@ -49,7 +49,7 @@ from ..engine.parallel import (
 from ..io.ledger import LedgerScope, open_ledger
 from ..io.witnessdb import CensusCellRecord, WitnessDB
 from ..topology.base import Topology
-from ..topology.tori import make_torus
+from ..topology.tori import TORUS_KINDS, make_torus
 
 __all__ = ["CensusResult", "CensusRow", "below_bound_census"]
 
@@ -164,7 +164,7 @@ def _row_from_cell(cell: CensusCellRecord) -> CensusRow:
 
 
 def below_bound_census(
-    kinds: Sequence[str] = ("mesh", "cordalis", "serpentinus"),
+    kinds: Sequence[str] = TORUS_KINDS,
     sizes: Sequence[int] = (3, 4, 5, 6),
     *,
     random_trials: int = 20_000,

@@ -18,8 +18,7 @@ and launch the existing drivers without shelling into the repo:
 * ``GET /jobs/{id}`` — job status with shard-level progress fed from
   the job's run ledger; ``DELETE /jobs/{id}`` cancels cooperatively.
 
-The package splits framework-free from framework-bound code the same
-way :mod:`repro.engine.backends.numba_backend` gates numba:
+The package splits framework-free from framework-bound code:
 :mod:`repro.service.state` and :mod:`repro.service.jobs` import no HTTP
 stack and are importable (and testable) everywhere, while
 :mod:`repro.service.app` gates its FastAPI/uvicorn imports behind

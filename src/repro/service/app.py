@@ -1,7 +1,6 @@
 """ASGI application factory — the only module that touches FastAPI.
 
-Mirrors the optional-dependency pattern of
-:mod:`repro.engine.backends.numba_backend`: module import is always
+Optional-dependency pattern: module import is always
 safe (no HTTP stack at module scope), availability is probed with
 :func:`service_available`, and the gated imports happen inside
 :func:`create_app` / :func:`run_server`, raising

@@ -11,9 +11,9 @@ jobs queue rather than race, and each job opens its *own*
 (the read side uses a separate auto-reloading
 :class:`~repro.io.WitnessQueryIndex`).
 
-Bitwise identity with the CLI is a hard contract: job parameters
-default to exactly the ``repro-dynamo`` defaults and feed the drivers
-through the same :class:`~repro.engine.ExecutionSettings` path, so a
+Bitwise identity with the CLI is a hard contract: job parameters come
+from the same :mod:`repro.params` tables as the ``repro-dynamo`` flags
+(same defaults, same bounds) and feed the drivers through the same :class:`~repro.engine.ExecutionSettings` path, so a
 record appended by a service job is byte-for-byte the record the
 equivalent CLI invocation appends (pinned in ``tests/test_service.py``
 and CI's ``service-smoke`` job).
@@ -39,22 +39,16 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from ..engine.context import ExecutionSettings
-from ..engine.parallel import (
-    RunCancelled,
-    validate_positive,
-    validate_processes,
-)
+from ..engine.parallel import RunCancelled
 from ..io.ledger import RunLedger
 from ..io.witnessdb import WitnessDB
-from ..rules import RULE_NAMES, make_rule
+from ..params import CENSUS, SEARCH, ParamTable
+from ..rules import make_rule
 from ..topology.tori import make_torus
 
 __all__ = ["Job", "JobManager", "JobValidationError"]
 
 PathLike = Union[str, Path]
-
-#: torus kinds the job endpoints accept (the CLI's choices)
-_TORUS_KINDS = ("mesh", "cordalis", "serpentinus")
 
 #: job states; terminal states are the last three
 QUEUED = "queued"
@@ -68,145 +62,12 @@ class JobValidationError(ValueError):
     """A job request body failed validation (a client error)."""
 
 
-def _require(params: Mapping[str, Any], name: str) -> Any:
-    if name not in params:
-        raise JobValidationError(f"missing required parameter {name!r}")
-    return params[name]
-
-
-def _int_of(params: Mapping[str, Any], name: str, default: Any) -> Any:
-    value = params.get(name, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise JobValidationError(f"{name!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _bool_of(params: Mapping[str, Any], name: str, default: bool) -> bool:
-    value = params.get(name, default)
-    if not isinstance(value, bool):
-        raise JobValidationError(f"{name!r} must be a boolean, got {value!r}")
-    return value
-
-
-def _reject_unknown(params: Mapping[str, Any], known: frozenset) -> None:
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise JobValidationError(
-            f"unknown parameter(s): {', '.join(unknown)}; "
-            f"accepted: {', '.join(sorted(known))}"
-        )
-
-
-_SEARCH_PARAMS = frozenset(
-    {
-        "kind", "m", "n", "seed_size", "colors", "target_color", "rule",
-        "exhaustive", "trials", "seed", "monotone_only", "batch_size",
-        "shard_size", "processes", "max_configs",
-    }
-)
-
-_CENSUS_PARAMS = frozenset(
-    {
-        "kinds", "sizes", "trials", "batch_size", "shard_size", "seed",
-        "processes",
-    }
-)
-
-
-def _check_execution(spec: Mapping[str, Any]) -> None:
-    """Refuse the execution values the drivers reject at run time.
-
-    Raises :class:`ValueError`; the callers turn it into a
-    :class:`JobValidationError` so a bad request is a 400, not a job
-    that fails later.
-    """
-    validate_processes(spec["processes"])
-    for name in ("batch_size", "shard_size"):
-        if spec[name] is not None:
-            validate_positive(spec[name], flag=name)
-    if spec["trials"] < 0:
-        raise ValueError(f"trials must be >= 0, got {spec['trials']!r}")
-
-
-def _validate_search(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Normalize a search request to the CLI's exact defaults."""
-    _reject_unknown(params, _SEARCH_PARAMS)
-    kind = _require(params, "kind")
-    if kind not in _TORUS_KINDS:
-        raise JobValidationError(
-            f"kind must be one of {', '.join(_TORUS_KINDS)}, got {kind!r}"
-        )
-    rule = params.get("rule", "smp")
-    if rule not in RULE_NAMES:
-        raise JobValidationError(
-            f"rule must be one of {', '.join(sorted(RULE_NAMES))}, got {rule!r}"
-        )
-    spec = {
-        "kind": kind,
-        "m": _int_of(params, "m", _require(params, "m")),
-        "n": _int_of(params, "n", _require(params, "n")),
-        "seed_size": _int_of(params, "seed_size", _require(params, "seed_size")),
-        "colors": _int_of(params, "colors", 4),
-        "target_color": _int_of(params, "target_color", 0),
-        "rule": rule,
-        "exhaustive": _bool_of(params, "exhaustive", False),
-        "trials": _int_of(params, "trials", 20_000),
-        "seed": _int_of(params, "seed", 0xBEEF),
-        "monotone_only": _bool_of(params, "monotone_only", False),
-        "batch_size": _int_of(params, "batch_size", None),
-        "shard_size": _int_of(params, "shard_size", None),
-        "processes": _int_of(params, "processes", 0),
-        "max_configs": _int_of(params, "max_configs", 20_000_000),
-    }
+def _validate(table: ParamTable, body: Mapping[str, Any]) -> Dict[str, Any]:
+    """Normalize a job body through the CLI's own parameter table."""
     try:
-        _check_execution(spec)
-        vertices = make_torus(kind, spec["m"], spec["n"]).num_vertices
-        if not 1 <= spec["seed_size"] <= vertices:
-            raise ValueError(
-                f"seed_size must be in 1..{vertices} (m*n), "
-                f"got {spec['seed_size']!r}"
-            )
-        make_rule(rule, num_colors=spec["colors"])
-    except (TypeError, ValueError) as exc:
+        return table.from_json(body)
+    except ValueError as exc:
         raise JobValidationError(str(exc)) from None
-    return spec
-
-
-def _validate_census(params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Normalize a census request to the CLI's exact defaults."""
-    _reject_unknown(params, _CENSUS_PARAMS)
-    kinds = params.get("kinds", list(_TORUS_KINDS))
-    if not isinstance(kinds, list) or not kinds:
-        raise JobValidationError("'kinds' must be a non-empty list")
-    for kind in kinds:
-        if kind not in _TORUS_KINDS:
-            raise JobValidationError(
-                f"kinds must be among {', '.join(_TORUS_KINDS)}, got {kind!r}"
-            )
-    sizes = params.get("sizes", [3, 4, 5, 6])
-    if not isinstance(sizes, list) or not sizes or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in sizes
-    ):
-        raise JobValidationError("'sizes' must be a non-empty list of integers")
-    spec = {
-        "kinds": [str(kind) for kind in kinds],
-        "sizes": [int(s) for s in sizes],
-        "trials": _int_of(params, "trials", 20_000),
-        "batch_size": _int_of(params, "batch_size", 8192),
-        "shard_size": _int_of(params, "shard_size", None),
-        "seed": _int_of(params, "seed", 0xBEEF),
-        "processes": _int_of(params, "processes", 0),
-    }
-    try:
-        _check_execution(spec)
-        for kind in spec["kinds"]:
-            for size in spec["sizes"]:
-                make_torus(kind, size, size)
-    except (TypeError, ValueError) as exc:
-        raise JobValidationError(str(exc)) from None
-    return spec
 
 
 @dataclass
@@ -315,11 +176,11 @@ class JobManager:
 
     def submit_search(self, params: Mapping[str, Any]) -> Job:
         """Queue one dynamo search (the CLI ``search`` command)."""
-        return self._submit("search", _validate_search(params))
+        return self._submit("search", _validate(SEARCH, params))
 
     def submit_census(self, params: Mapping[str, Any]) -> Job:
         """Queue one below-bound census (the CLI ``census`` command)."""
-        return self._submit("census", _validate_census(params))
+        return self._submit("census", _validate(CENSUS, params))
 
     def _submit(self, kind: str, spec: Dict[str, Any]) -> Job:
         with self._lock:

@@ -31,7 +31,14 @@ import numpy as np
 
 from .base import GridTopology
 
-__all__ = ["ToroidalMesh", "TorusCordalis", "TorusSerpentinus", "TORUS_CLASSES", "make_torus"]
+__all__ = [
+    "ToroidalMesh",
+    "TorusCordalis",
+    "TorusSerpentinus",
+    "TORUS_CLASSES",
+    "TORUS_KINDS",
+    "make_torus",
+]
 
 
 def _row_major_lattice(m: int, n: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -92,6 +99,9 @@ class TorusSerpentinus(GridTopology):
         up = np.where(i > 0, (i - 1) * n + j, (m - 1) * n + (j + 1) % n)
         return np.stack([up, down, left, right], axis=1).astype(np.int32)
 
+
+#: The paper's three tori by their short names, in the paper's order.
+TORUS_KINDS = ("mesh", "cordalis", "serpentinus")
 
 #: Name -> class registry used by the CLI and experiment drivers.
 TORUS_CLASSES = {

@@ -34,3 +34,24 @@ def grid_colors(topo, rows):
     arr = np.asarray(rows, dtype=np.int32)
     assert arr.shape == (topo.m, topo.n)
     return arr.reshape(-1)
+
+
+def scalar_async_runs(con, trials, root):
+    """The oracle of the batched async trials: trial ``i`` replayed
+    through the scalar ``run_asynchronous`` loop under the schedule
+    stream seeded ``(root, i)``."""
+    from repro.engine.schedulers import AsyncSchedule, run_asynchronous
+    from repro.rules import SMPRule
+
+    schedule = AsyncSchedule.derive(root, trials)
+    return [
+        run_asynchronous(
+            con.topo,
+            con.colors,
+            SMPRule(),
+            order=schedule.order,
+            rng=schedule.row_rng(i),
+            target_color=con.k,
+        )
+        for i in range(trials)
+    ]

@@ -7,10 +7,6 @@ engine flag — that is what makes backend choice safe to exclude from
 witness-database cache keys.  The parity matrix below pins it; the
 seed-stability tests pin that searches and censuses (including their
 recorded witness ids) do not depend on ``backend``.
-
-The ``numba`` backend participates automatically when the optional
-package is installed (CI runs a dedicated leg with it); without numba the
-matrix covers the two NumPy backends and the unavailability error path.
 """
 
 import numpy as np
@@ -26,7 +22,6 @@ from repro.engine.backends import (
     fallback_stepper,
     select_backend,
 )
-from repro.engine.backends.numba_backend import numba_available
 from repro.experiments import below_bound_census
 from repro.io.witnessdb import WitnessDB
 from repro.rules import (
@@ -327,7 +322,7 @@ def test_custom_rule_without_spec_falls_back(rng, fast_backend):
 # registry / selection
 # ----------------------------------------------------------------------
 def test_registry_names():
-    assert backend_names() == ("reference", "stencil", "numba")
+    assert backend_names() == ("reference", "stencil")
     assert "reference" in available_backend_names()
     assert "stencil" in available_backend_names()
 
@@ -358,17 +353,9 @@ def test_select_backend_instance_passthrough():
     assert res.converged.all()
 
 
-@pytest.mark.skipif(numba_available(), reason="numba is installed here")
-def test_numba_unavailable_raises_actionable_error():
-    with pytest.raises(BackendUnavailableError, match="pip install numba"):
-        select_backend("numba")
-    assert "numba" not in available_backend_names()
-    assert "numba" in backend_names()  # registered, just not runnable
-
-
 def test_third_party_backend_availability_hook():
-    """A custom backend reports its own unavailability through the same
-    hook the shipped numba backend uses."""
+    """A custom backend reports its own unavailability through the
+    availability_error hook: listed, not runnable, actionable error."""
 
     class Gated(KernelBackend):
         name = "gated"

@@ -1,10 +1,12 @@
 """Update-order robustness tests."""
 
 import numpy as np
+from helpers import scalar_async_runs
 
 from repro.core import build_minimum_dynamo
 from repro.engine import RunStats
 from repro.ext import async_robustness, order_sensitivity
+from repro.ext.asynchrony import derive_schedule_root
 
 
 def test_constructions_robust_to_random_order(torus_kind):
@@ -55,27 +57,26 @@ def test_sweep_cap_respected():
 
 
 # ----------------------------------------------------------------------
-# the batched rewiring: engine equivalence, seeding, and db caching
+# the batched rewiring: scalar-oracle equivalence, seeding, and db caching
 # ----------------------------------------------------------------------
 def test_engines_bitwise_identical(torus_kind):
+    """The batched trials equal a scalar run_asynchronous loop over the
+    same per-trial streams, whether the root is a seed or an rng draw."""
     con = build_minimum_dynamo(torus_kind, 5, 5)
-    batch = async_robustness(con, trials=8, seed=0xFACE, engine="batch")
-    scalar = async_robustness(con, trials=8, seed=0xFACE, engine="scalar")
-    assert batch == scalar
-    with_rng = async_robustness(
-        con, trials=8, rng=np.random.default_rng(2), engine="batch"
-    )
-    assert with_rng == async_robustness(
-        con, trials=8, rng=np.random.default_rng(2), engine="scalar"
-    )
-
-
-def test_unknown_engine_rejected():
-    con = build_minimum_dynamo("mesh", 5, 5)
-    import pytest
-
-    with pytest.raises(ValueError, match="unknown engine"):
-        async_robustness(con, trials=2, seed=1, engine="quantum")
+    rng_root = derive_schedule_root(None, np.random.default_rng(2), 0)
+    for kwargs, root in (
+        ({"seed": 0xFACE}, 0xFACE),
+        ({"rng": np.random.default_rng(2)}, rng_root),
+    ):
+        batch = async_robustness(con, trials=8, **kwargs)
+        runs = scalar_async_runs(con, 8, root)
+        sweeps = np.array([r.rounds for r in runs], dtype=np.int64)
+        takeover = [r.converged and bool((r.final == con.k).all()) for r in runs]
+        assert batch.takeover_rate == sum(takeover) / 8
+        assert batch.monotone_rate == sum(bool(r.monotone) for r in runs) / 8
+        assert batch.min_sweeps == int(sweeps.min())
+        assert batch.max_sweeps == int(sweeps.max())
+        assert batch.mean_sweeps == float(sweeps.mean())
 
 
 def test_explicit_seed_reproducible_and_independent_of_rng():
@@ -88,9 +89,9 @@ def test_explicit_seed_reproducible_and_independent_of_rng():
 
 def test_order_sensitivity_seeded_and_engine_invariant():
     con = build_minimum_dynamo("cordalis", 5, 5)
-    a = order_sensitivity(con, trials=12, seed=3, engine="batch")
-    b = order_sensitivity(con, trials=12, seed=3, engine="scalar")
-    assert np.array_equal(a, b)
+    a = order_sensitivity(con, trials=12, seed=3)
+    oracle = [r.rounds for r in scalar_async_runs(con, 12, 3)]
+    assert np.array_equal(a, np.array(oracle, dtype=np.int64))
     assert np.array_equal(a, order_sensitivity(con, trials=12, seed=3))
 
 

@@ -485,8 +485,17 @@ class TestDocsDrift:
         findings, _ = lint_project(root, ["src"], select=["docs"])
         c001 = [f for f in findings if f.rule == "RPL-C001"]
         assert c001, "expected missing-flag findings"
-        assert all(f.path == "src/repro/cli.py" for f in c001)
-        assert any("--backend" in f.message for f in c001)
+        assert all(f.line > 1 for f in c001)
+        backend = [f for f in c001 if "flag --backend " in f.message]
+        assert [f.path for f in backend] == ["src/repro/cli.py"]
+        # a search/census table flag points at its Param entry
+        (seed_size,) = [f for f in c001 if "flag --seed-size " in f.message]
+        params = (ROOT / "src" / "repro" / "params.py").read_text()
+        entry = next(
+            no for no, text in enumerate(params.splitlines(), start=1)
+            if 'Param("seed_size"' in text
+        )
+        assert (seed_size.path, seed_size.line) == ("src/repro/params.py", entry)
 
     def test_c002_dangling_module_ref(self, tmp_path):
         readme = f"# x\n\nsee `repro.engine.nonexistent_thing`\n\n{_all_flags_blurb()}\n"

@@ -40,6 +40,52 @@ SEARCH_CLI = [
 ]
 
 
+#: inputs both front ends must refuse before any work starts: the
+#: service with a 400 (no job queued), the CLI with a usage error
+BAD_INPUTS = [
+    ("census", {"batch_size": 0}),
+    ("census", {"shard_size": -1}),
+    ("census", {"sizes": [0]}),
+    ("census", {"sizes": [3, 1]}),
+    ("census", {"sizes": [2]}),
+    ("census", {"trials": -1}),
+    ("search", dict(SEARCH_JOB, batch_size=0)),
+    ("search", dict(SEARCH_JOB, shard_size=-1)),
+    ("search", dict(SEARCH_JOB, trials=-5)),
+    ("search", dict(SEARCH_JOB, seed_size=0)),
+    ("search", dict(SEARCH_JOB, seed_size=10)),
+    ("search", dict(SEARCH_JOB, seed_size=30, exhaustive=True)),
+    ("search", dict(SEARCH_JOB, m=1)),
+    ("search", dict(SEARCH_JOB, colors=1)),
+    ("search", dict(SEARCH_JOB, colors=0)),
+    ("search", dict(SEARCH_JOB, exhaustive=True, max_configs=0)),
+]
+BAD_INPUT_IDS = [
+    "census-batch-0", "census-shard-neg", "census-size-0",
+    "census-size-1", "census-size-2", "census-trials-neg", "search-batch-0",
+    "search-shard-neg", "search-trials-neg", "search-seed-0",
+    "search-seed-over", "exhaustive-seed-over", "search-m-1",
+    "search-colors-1", "search-colors-0", "exhaustive-max-configs-0",
+]
+
+
+def cli_argv(kind, body):
+    """The ``repro-dynamo`` argv spelling a job body."""
+    body = dict(body)
+    argv = [kind]
+    if kind == "search":
+        argv += [body.pop("kind"), str(body.pop("m")), str(body.pop("n"))]
+    for key, value in body.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, *map(str, value)]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
 def wait_for(state, job_id, timeout=30.0):
     """Poll a job to a terminal state; fail the test on timeout."""
     deadline = time.monotonic() + timeout
@@ -182,29 +228,7 @@ class TestServiceState:
         assert status == 400
 
 
-    @pytest.mark.parametrize(
-        "kind,body",
-        [
-            ("census", {"batch_size": 0}),
-            ("census", {"shard_size": -1}),
-            ("census", {"sizes": [0]}),
-            ("census", {"sizes": [3, 1]}),
-            ("census", {"trials": -1}),
-            ("search", dict(SEARCH_JOB, batch_size=0)),
-            ("search", dict(SEARCH_JOB, shard_size=-1)),
-            ("search", dict(SEARCH_JOB, trials=-5)),
-            ("search", dict(SEARCH_JOB, seed_size=0)),
-            ("search", dict(SEARCH_JOB, seed_size=10)),
-            ("search", dict(SEARCH_JOB, seed_size=30, exhaustive=True)),
-            ("search", dict(SEARCH_JOB, m=1)),
-        ],
-        ids=[
-            "census-batch-0", "census-shard-neg", "census-size-0",
-            "census-size-1", "census-trials-neg", "search-batch-0",
-            "search-shard-neg", "search-trials-neg", "search-seed-0",
-            "search-seed-over", "exhaustive-seed-over", "search-m-1",
-        ],
-    )
+    @pytest.mark.parametrize("kind,body", BAD_INPUTS, ids=BAD_INPUT_IDS)
     def test_values_drivers_reject_are_400_up_front(self, tmp_path, kind, body):
         """A value the driver would reject at run time is a 400 at
         submission, not a 202 whose job fails later."""
@@ -215,6 +239,20 @@ class TestServiceState:
             assert state.jobs.jobs() == []
         finally:
             state.close()
+
+    @pytest.mark.parametrize("kind,body", BAD_INPUTS, ids=BAD_INPUT_IDS)
+    def test_cli_rejects_the_same_values_as_usage_errors(
+        self, tmp_path, capsys, kind, body
+    ):
+        """The CLI refuses every body the service refuses: exit 2 with a
+        usage message, no traceback, and nothing written."""
+        db = tmp_path / "w.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(cli_argv(kind, body) + ["--db", str(db)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+        assert not db.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ hand-maintained list:
   README.md (its flag tables / quickstarts).  Flags are harvested by
   walking ``repro.cli.build_parser()`` including all subparsers, so a
   newly added option fails lint until it is documented.  Findings are
-  anchored at the ``add_argument`` site in ``src/repro/cli.py``.
+  anchored at the ``add_argument`` site in ``src/repro/cli.py`` or, for
+  a ``search``/``census`` parameter, at its ``Param`` entry in
+  ``src/repro/params.py``.
 * RPL-C002 — dotted ``repro.*`` cross-references and backticked repo
   paths in README.md / docs/*.md must resolve against the source tree.
 * RPL-C003 — every documented ``repro-dynamo`` invocation must parse
@@ -48,6 +50,10 @@ _DOTTED_REF = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 _PATH_REF = re.compile(
     r"`((?:src|tools|docs|tests|benchmarks|examples|results)/[\w\-./]+)`"
 )
+
+#: where CLI flags are declared: hand-written add_argument calls, then
+#: the search/census parameter table
+_FLAG_SOURCES = ("src/repro/cli.py", "src/repro/params.py")
 
 #: retired dotted module prefixes that prose docs must no longer cite
 RETIRED_MODULES = ("repro.core.batch",)
@@ -250,25 +256,32 @@ class DocsDriftChecker(Checker):
             yield Finding("README.md", 1, 1, "RPL-C001", "README.md is missing")
             return
         readme_text = readme.read_text(encoding="utf-8")
-        cli_path = root / "src" / "repro" / "cli.py"
-        cli_lines = (
-            cli_path.read_text(encoding="utf-8").splitlines()
-            if cli_path.exists()
-            else []
-        )
+        sources = []
+        for rel in _FLAG_SOURCES:
+            path = root / rel
+            lines = (
+                path.read_text(encoding="utf-8").splitlines()
+                if path.exists()
+                else []
+            )
+            sources.append((rel, lines))
         for flag, paths in sorted(collect_cli_flags(parser).items()):
             if re.search(re.escape(flag) + r"(?![\w-])", readme_text):
                 continue
-            line = next(
+            # an add_argument("--flag") in cli.py, else the table entry
+            # Param("name") in params.py
+            needles = (f'"{flag}"', f'Param("{flag[2:].replace("-", "_")}"')
+            rel, line = next(
                 (
-                    no
-                    for no, text in enumerate(cli_lines, start=1)
-                    if f'"{flag}"' in text
+                    (rel, no)
+                    for (rel, lines), needle in zip(sources, needles)
+                    for no, text in enumerate(lines, start=1)
+                    if needle in text
                 ),
-                1,
+                (_FLAG_SOURCES[0], 1),
             )
             yield Finding(
-                "src/repro/cli.py",
+                rel,
                 line,
                 1,
                 "RPL-C001",
