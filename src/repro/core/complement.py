@@ -8,24 +8,41 @@ seed ``S_k`` on a torus, does **some** coloring of ``T - S_k`` make it a
 Two engines:
 
 * :func:`find_dynamo_complement` — depth-first search over complement
-  cells in a wavefront order with simulation-based validation at the
-  leaves and two sound prunes:
+  cells in a wavefront order.  Leaves are checked on the batched engine:
+  complete colorings are buffered into a block and each block is
+  simulated by one :func:`~repro.engine.batch.run_batch` call (the block
+  holds one leaf at first and doubles on every flush, up to
+  :data:`MAX_LEAF_BLOCK`, so an early hit costs few simulations and a long
+  search amortizes the engine).  The first passing leaf *in DFS order* is
+  returned, so the result is the one a leaf-at-a-time search finds.  Two
+  sound prunes:
 
   - *seed protection*: every seed vertex whose open neighborhood is fully
-    assigned must not recolor at round 1 (necessary for monotonicity);
-  - *non-k-block prune*: if the currently-assigned non-k region already
-    contains a non-k-block no extension can ever work (Definition 5 is
-    monotone in the assigned set only when the candidate block is fully
-    assigned, so the prune checks assigned vertices only).
+    assigned must not recolor at round 1 (necessary for monotonicity).
+    Cells are assigned in a fixed order, so which seeds become decidable
+    at each depth is precomputed once;
+  - *non-k-block prune*: an assigned non-k region containing a
+    non-k-block (Definition 5) can never be completed to a dynamo.  The
+    assigned cells are always a prefix of the complement in DFS order,
+    and a subset of a set with an empty 3-core has an empty 3-core, so a
+    block shows up at some node exactly when the whole complement holds
+    one.  The prune is therefore one check before the search: when it
+    fires there is no leaf to reach, and the answer is None.
 
-* :func:`minimum_palette_complement` — binary-search wrapper calling the
-  DFS with growing palettes, returning the smallest palette size that
-  admits a dynamo complement (used by the below-bound census and by the
-  Theorem-2 "is 4 really enough?" exploration).
+  Each call emits one ``complement-dfs`` telemetry event (nodes, leaves,
+  leaf blocks, prunes and an ``outcome`` of ``found``, ``exhausted`` or
+  ``budget``), which tells "budget ran out" apart from "search space
+  exhausted" without changing the return type.
 
-Complexity is exponential in the complement size; intended for tori up to
-~5x5 (25 cells).  The searcher is deterministic given the cell order, so
-results are reproducible.
+* :func:`minimum_palette_complement` — wrapper calling the DFS with
+  growing palettes, returning the smallest palette size that admits a
+  dynamo complement (used by the below-bound census and by the Theorem-2
+  "is 4 really enough?" exploration).
+
+Complexity is exponential in the complement size: the 5x5 diagonal
+searches finish in well under a second, while the cordalis 6x6 diagonal
+search outgrows any practical node budget.  The searcher is deterministic
+given the cell order, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -34,12 +51,16 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from ..engine.runner import run_synchronous
+from .. import obs
+from ..engine.batch import run_batch
 from ..rules.smp import SMPRule
 from ..structures.blocks import prune_to_core
 from ..topology.base import Topology
 
 __all__ = ["find_dynamo_complement", "minimum_palette_complement"]
+
+#: largest number of leaf colorings simulated by one ``run_batch`` call
+MAX_LEAF_BLOCK = 256
 
 
 def _wavefront_order(topo: Topology, seed_ids: np.ndarray) -> List[int]:
@@ -67,6 +88,28 @@ def _wavefront_order(topo: Topology, seed_ids: np.ndarray) -> List[int]:
     return cells
 
 
+def _protection_checks(topo: Topology, cells: List[int]) -> List[List[List[int]]]:
+    """Per DFS depth, the neighbor lists of the seeds to re-check there.
+
+    ``cells`` holds every non-seed vertex.  Assigning ``cells[idx]`` makes
+    a neighboring seed decidable once every non-seed neighbor of that seed
+    sits at depth ``<= idx``.
+    """
+    nbrs = [
+        [int(w) for w in topo.neighbors[v, : topo.degrees[v]]]
+        for v in range(topo.num_vertices)
+    ]
+    depth = {v: i for i, v in enumerate(cells)}
+    checks: List[List[List[int]]] = []
+    for idx, v in enumerate(cells):
+        here = []
+        for u in dict.fromkeys(nbrs[v]):
+            if u not in depth and all(depth.get(w, -1) <= idx for w in nbrs[u]):
+                here.append(nbrs[u])
+        checks.append(here)
+    return checks
+
+
 def find_dynamo_complement(
     topo: Topology,
     seed_ids: Iterable[int] | np.ndarray,
@@ -79,78 +122,92 @@ def find_dynamo_complement(
 ) -> Optional[np.ndarray]:
     """DFS for a complement coloring making ``seed_ids`` a k-dynamo.
 
-    ``palette`` lists the non-k colors available for complement cells.
-    Returns the full color vector, or None when the search space is
-    exhausted (or the node budget ``max_nodes`` is hit — treat None as
-    "not found", not a proof, when the budget binds).
+    ``palette`` lists the distinct non-k colors available for complement
+    cells.  Returns the full color vector, or None when the search space
+    is exhausted (or the node budget ``max_nodes`` is hit — treat None as
+    "not found", not a proof, when the budget binds; the ``outcome`` of
+    the call's ``complement-dfs`` telemetry event says which).
     """
     seed_ids = np.asarray(sorted(set(int(v) for v in seed_ids)), dtype=np.int64)
     n = topo.num_vertices
     if seed_ids.size and (seed_ids[0] < 0 or seed_ids[-1] >= n):
         raise ValueError("seed vertex id out of range")
+    if k < 0:
+        raise ValueError(f"target color must be non-negative, got {k}")
     palette = [int(c) for c in palette]
     if k in palette:
         raise ValueError("palette must not contain the target color")
-    colors = np.full(n, -1, dtype=np.int64)
-    colors[seed_ids] = k
+    if any(c < 0 for c in palette):
+        raise ValueError(f"palette colors must be non-negative, got {palette}")
+    if len(set(palette)) != len(palette):
+        raise ValueError(f"palette colors must be distinct, got {palette}")
     cells = _wavefront_order(topo, seed_ids)
     rule = SMPRule()
-    budget = [max_nodes]
+    colors = [-1] * n
+    for s in seed_ids:
+        colors[s] = k
+    checks = _protection_checks(topo, cells)
+    buf: List[List[int]] = []
+    stats = dict(nodes=0, leaves=0, blocks=0, seed_prunes=0, block_prunes=0)
+    block = 1
+    budget_hit = False
+    hit: Optional[np.ndarray] = None
 
-    def fully_assigned_neighbors(v: int) -> bool:
-        nb = topo.neighbors[v, : topo.degrees[v]]
-        return bool(np.all(colors[nb] >= 0))
-
-    def seed_protected(v: int) -> bool:
-        """Seed vertex v keeps k at round 1 (only called when decidable)."""
-        nb = [int(colors[int(w)]) for w in topo.neighbors[v, : topo.degrees[v]]]
-        return rule.update_vertex(k, nb) == k
-
-    def assigned_non_k_block_exists() -> bool:
-        assigned_non_k = colors >= 0
-        assigned_non_k &= colors != k
-        core = prune_to_core(topo, assigned_non_k, 3)
-        return bool(core.any())
-
-    def leaf_check() -> bool:
-        cand = colors.astype(np.int32)
-        res = run_synchronous(
-            topo, cand, rule, max_rounds=max_rounds, target_color=k,
-            track_changes=False,
+    def flush() -> bool:
+        """Simulate the buffered leaves; True when one of them passes."""
+        nonlocal block, hit
+        if not buf:
+            return False
+        batch = np.array(buf, dtype=np.int32)
+        buf.clear()
+        stats["blocks"] += 1
+        block = min(2 * block, MAX_LEAF_BLOCK)
+        res = run_batch(
+            topo, batch, rule, max_rounds=max_rounds, target_color=k,
+            detect_cycles=False,
         )
-        ok = res.is_dynamo_run(k)
-        if ok and require_monotone:
-            ok = bool(res.monotone)
-        return ok
+        ok = res.k_monochromatic
+        if require_monotone:
+            ok = ok & res.monotone
+        rows = np.flatnonzero(ok)
+        if rows.size:
+            hit = batch[rows[0]].copy()
+            return True
+        return False
 
     def dfs(idx: int) -> bool:
-        if budget[0] <= 0:
+        nonlocal budget_hit
+        if stats["nodes"] >= max_nodes:
+            budget_hit = True
             return False
-        budget[0] -= 1
+        stats["nodes"] += 1
         if idx == len(cells):
-            return leaf_check()
+            stats["leaves"] += 1
+            buf.append(colors.copy())
+            return len(buf) >= block and flush()
         v = cells[idx]
+        here = checks[idx] if require_monotone else []
         for c in palette:
             colors[v] = c
-            if require_monotone:
-                bad = False
-                for u in [v] + [int(w) for w in topo.neighbors[v, : topo.degrees[v]]]:
-                    if colors[u] == k and fully_assigned_neighbors(u):
-                        if not seed_protected(u):
-                            bad = True
-                            break
-                if bad:
-                    continue
-            if assigned_non_k_block_exists():
+            # cells past ``idx`` keep stale colors: nothing reads them
+            # before they are assigned again
+            if not all(rule.update_vertex(k, [colors[w] for w in nb]) == k
+                       for nb in here):
+                stats["seed_prunes"] += 1
                 continue
             if dfs(idx + 1):
                 return True
-        colors[v] = -1
         return False
 
-    if dfs(0):
-        return colors.astype(np.int32)
-    return None
+    member = np.zeros(n, dtype=bool)
+    member[cells] = True
+    if prune_to_core(topo, member, 3).any():
+        stats["block_prunes"] = 1
+    elif not dfs(0):
+        flush()
+    outcome = "found" if hit is not None else "budget" if budget_hit else "exhausted"
+    obs.emit("complement-dfs", outcome=outcome, **stats)
+    return hit
 
 
 def minimum_palette_complement(
