@@ -146,7 +146,7 @@ def find_dynamo_complement(
     colors = [-1] * n
     for s in seed_ids:
         colors[s] = k
-    checks = _protection_checks(topo, cells)
+    checks = _protection_checks(topo, cells) if require_monotone else [[]] * len(cells)
     buf: List[List[int]] = []
     stats = dict(nodes=0, leaves=0, blocks=0, seed_prunes=0, block_prunes=0)
     block = 1
@@ -186,13 +186,12 @@ def find_dynamo_complement(
             buf.append(colors.copy())
             return len(buf) >= block and flush()
         v = cells[idx]
-        here = checks[idx] if require_monotone else []
         for c in palette:
             colors[v] = c
             # cells past ``idx`` keep stale colors: nothing reads them
             # before they are assigned again
             if not all(rule.update_vertex(k, [colors[w] for w in nb]) == k
-                       for nb in here):
+                       for nb in checks[idx]):
                 stats["seed_prunes"] += 1
                 continue
             if dfs(idx + 1):
