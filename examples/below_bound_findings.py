@@ -25,7 +25,6 @@ from repro.core import (
     lower_bound,
     min_bootstrap_percolating_size,
 )
-from repro.engine import adoption_curve
 from repro.theory import full_report, render_report
 from repro.viz import render_grid, render_time_matrix, sparkline
 
@@ -48,8 +47,10 @@ def the_diagonal_family() -> None:
     print(f"{'n':>3} {'size':>5} {'bound':>6} {'rounds':>7} {'adoption curve':>20}")
     for n in sorted(CACHED_MESH_DIAGONAL_WITNESSES):
         con = diagonal_dynamo(n)
-        res = run_synchronous(con.topo, con.colors, SMPRule(), target_color=0)
-        curve = adoption_curve(res, 0)
+        res = run_synchronous(
+            con.topo, con.colors, SMPRule(), target_color=0, record=True
+        )
+        curve = [int((state == 0).sum()) for state in res.trajectory]
         print(f"{n:>3} {con.seed_size:>5} {con.size_lower_bound:>6} "
               f"{res.rounds:>7}   {sparkline(curve)}")
     print()

@@ -6,9 +6,8 @@ dynamo simulation under the SMP-Protocol on toroidal meshes, tori cordalis
 and tori serpentinus, with the paper's explicit minimum-dynamo
 constructions, size bounds, round-count formulas, structural certificates
 (k-blocks / non-k-blocks), exhaustive lower-bound searches, the bi-colored
-majority baselines of Flocchini et al., a TSS substrate, and the paper's
-future-work extensions (scale-free graphs, bounded-confidence comparison,
-time-varying links).
+majority baselines of Flocchini et al., and the paper's future-work
+extensions (scale-free graphs, asynchronous schedules, stubborn agents).
 
 Quickstart
 ----------
@@ -18,8 +17,8 @@ Quickstart
 >>> report.is_monotone_dynamo, con.seed_size
 (True, 16)
 
-See ``examples/`` for runnable scenarios and ``DESIGN.md`` for the full
-system inventory.
+See ``examples/`` for runnable scenarios and ``docs/ARCHITECTURE.md`` for
+the full system inventory.
 """
 
 from .core import (
@@ -50,7 +49,6 @@ from .engine import (
     run_asynchronous,
     run_batch,
     run_synchronous,
-    run_temporal,
 )
 from .rules import (
     GeneralizedPluralityRule,
@@ -70,7 +68,6 @@ from .structures import (
 )
 from .topology import (
     GraphTopology,
-    TemporalTopology,
     ToroidalMesh,
     TorusCordalis,
     TorusSerpentinus,
@@ -86,7 +83,6 @@ __all__ = [
     "TorusCordalis",
     "TorusSerpentinus",
     "GraphTopology",
-    "TemporalTopology",
     "make_torus",
     # rules
     "Rule",
@@ -102,7 +98,6 @@ __all__ = [
     "run_synchronous",
     "run_batch",
     "run_asynchronous",
-    "run_temporal",
     # structures
     "k_blocks",
     "non_k_blocks",

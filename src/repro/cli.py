@@ -78,7 +78,7 @@ from .io.serialize import load_configuration, save_configuration
 from .params import CENSUS, SEARCH, TABLES
 from .rules import RULE_NAMES
 from .rules.smp import SMPRule
-from .topology.tori import TORUS_KINDS
+from .topology.tori import TORUS_KINDS, make_torus
 from .viz.render import render_grid, render_time_matrix
 
 __all__ = ["main", "build_parser"]
@@ -341,10 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="recoloring rule for --convergence (default: smp)",
     )
-    sp.add_argument("--replicas", type=int, default=None, metavar="R",
+    sp.add_argument("--replicas", type=_positive_arg("--replicas"),
+                    default=None, metavar="R",
                     help="random replicas per point for --convergence "
                     "(default: 256)")
-    sp.add_argument("--colors", type=int, default=None, metavar="C",
+    sp.add_argument("--colors", type=_positive_arg("--colors"), default=None,
+                    metavar="C",
                     help="palette size for --convergence (default: 4)")
     sp.add_argument(
         "--batch-size",
@@ -586,8 +588,6 @@ def _open_db(path):
 
 def _witness_topology(rec):
     """Rebuild a record's torus, or report cleanly (exit-code-2 path)."""
-    from .topology.tori import make_torus
-
     try:
         return make_torus(rec.kind, rec.m, rec.n)
     except (KeyError, ValueError) as exc:
@@ -684,13 +684,30 @@ def _witness_main(args) -> int:
     return 2  # pragma: no cover - argparse enforces the choices
 
 
-def _configuration(args):
+def _build(parser, constructor, *args, **kwargs):
+    """Call a size-checking constructor (:func:`build_minimum_dynamo`,
+    :func:`make_torus`); the ValueError for a size it cannot build is a
+    usage error (exit 2), not a traceback."""
+    try:
+        return constructor(*args, **kwargs)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _minimum_dynamo(parser, args):
+    return _build(
+        parser, build_minimum_dynamo, args.kind, args.m, args.n,
+        k=args.target_color,
+    )
+
+
+def _configuration(parser, args):
     if getattr(args, "load", None):
         topo, colors, k = load_configuration(args.load)
         if k is None:
             k = args.target_color
         return topo, colors, k
-    con = build_minimum_dynamo(args.kind, args.m, args.n, k=args.target_color)
+    con = _minimum_dynamo(parser, args)
     return con.topo, con.colors, con.k
 
 
@@ -716,11 +733,15 @@ def _main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _check_backend_available(parser, args)
     _check_ledger_args(parser, args)
-    if args.command in TABLES:
-        try:
+    try:
+        if args.command in TABLES:
             TABLES[args.command].check(vars(args), True)
-        except ValueError as exc:
-            parser.error(str(exc))
+        if args.command == "scale-free":
+            from .ext.scale_free import check_census_grid
+
+            check_census_grid(args.n, args.m_attach, args.colors, args.fractions)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     path = getattr(args, "telemetry", None)
     if path is None:
@@ -771,9 +792,16 @@ def _dispatch(parser, args) -> int:
                     f"{', '.join(given)} only appl{'ies' if len(given) == 1 else 'y'} "
                     "to --convergence sweeps; add --convergence or drop them"
                 )
+        # each size must build before any worker starts
+        for size in args.sizes:
+            _build(
+                parser,
+                make_torus if args.convergence else build_minimum_dynamo,
+                args.kind, size, size,
+            )
 
     if args.command == "construct":
-        con = build_minimum_dynamo(args.kind, args.m, args.n, k=args.target_color)
+        con = _minimum_dynamo(parser, args)
         print(f"{con.name}: |S_k| = {con.seed_size} (lower bound "
               f"{con.size_lower_bound}), palette {con.palette}")
         if con.predicted_rounds is not None:
@@ -787,7 +815,7 @@ def _dispatch(parser, args) -> int:
         return 0
 
     if args.command == "simulate":
-        topo, colors, k = _configuration(args)
+        topo, colors, k = _configuration(parser, args)
         if args.render:
             print("initial:")
             print(render_grid(topo, colors, k))
@@ -801,7 +829,7 @@ def _dispatch(parser, args) -> int:
         return 0 if res.converged else 1
 
     if args.command == "verify":
-        topo, colors, k = _configuration(args)
+        topo, colors, k = _configuration(parser, args)
         rep = verify_dynamo(topo, colors, k)
         print(f"is_dynamo={rep.is_dynamo} monotone={rep.monotone} "
               f"rounds={rep.rounds}")
@@ -813,7 +841,7 @@ def _dispatch(parser, args) -> int:
         return 0 if rep.is_dynamo else 1
 
     if args.command == "matrix":
-        con = build_minimum_dynamo(args.kind, args.m, args.n, k=args.target_color)
+        con = _minimum_dynamo(parser, args)
         res = run_synchronous(con.topo, con.colors, SMPRule(), target_color=con.k)
         print(render_time_matrix(res.recoloring_matrix(con.topo)))
         return 0
@@ -882,9 +910,8 @@ def _dispatch(parser, args) -> int:
     if args.command == "search":
         from .core.search import exhaustive_dynamo_search, random_dynamo_search
         from .rules import make_rule
-        from .topology.tori import make_torus as _make_torus
 
-        topo = _make_torus(args.kind, args.m, args.n)
+        topo = make_torus(args.kind, args.m, args.n)
         rule = make_rule(args.rule, num_colors=args.colors)
         db = _open_db(args.db) if args.db else None
         if args.exhaustive:
@@ -967,7 +994,7 @@ def _dispatch(parser, args) -> int:
     if args.command == "async":
         from .ext.asynchrony import async_robustness
 
-        con = build_minimum_dynamo(args.kind, args.m, args.n, k=args.target_color)
+        con = _minimum_dynamo(parser, args)
         summary = async_robustness(
             con,
             trials=args.trials,

@@ -1,11 +1,5 @@
-"""Simulation engine: synchronous, asynchronous, and temporal drivers."""
+"""Simulation engine: synchronous (scalar and batched) and asynchronous drivers."""
 
-from .metrics import (
-    adoption_curve,
-    frontier_perimeter,
-    takeover_summary,
-    wavefront_speed,
-)
 from .backends import (
     BackendUnavailableError,
     KernelBackend,
@@ -40,7 +34,6 @@ from .parallel import (
 from .result import RunResult
 from .runner import default_round_cap, run_synchronous, validate_round_cap
 from .schedulers import AsyncSchedule, run_asynchronous, run_asynchronous_batch
-from .temporal import run_temporal, run_temporal_batch
 
 __all__ = [
     "RunResult",
@@ -51,8 +44,6 @@ __all__ = [
     "AsyncSchedule",
     "run_asynchronous",
     "run_asynchronous_batch",
-    "run_temporal",
-    "run_temporal_batch",
     "ExecutionSettings",
     "RunStats",
     "RunCancelled",
@@ -80,8 +71,4 @@ __all__ = [
     "resolve_plan",
     "default_round_cap",
     "validate_round_cap",
-    "adoption_curve",
-    "wavefront_speed",
-    "frontier_perimeter",
-    "takeover_summary",
 ]

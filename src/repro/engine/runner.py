@@ -56,9 +56,9 @@ def validate_round_cap(
     ``None`` means :func:`default_round_cap`; ``0`` is a legal budget
     (the run reports its initial state); negatives and non-integers
     raise :class:`ValueError` with a message naming ``flag``.  The
-    scalar runner, the batched engine, and the temporal driver all
-    route their caps through here, so "how many rounds is a run allowed"
-    has exactly one answer and one failure mode.
+    scalar runner and the batched engine both route their caps through
+    here, so "how many rounds is a run allowed" has exactly one answer
+    and one failure mode.
     """
     if max_rounds is None:
         return default_round_cap(topo)

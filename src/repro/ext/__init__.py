@@ -1,4 +1,4 @@
-"""Future-work extensions: scale-free SMP, Deffuant comparison, temporal tori."""
+"""Future-work extensions: scale-free SMP, asynchronous schedules, stubborn agents."""
 
 from .asynchrony import (
     AsyncRobustness,
@@ -6,7 +6,6 @@ from .asynchrony import (
     derive_schedule_root,
     order_sensitivity,
 )
-from .deffuant import DeffuantResult, compare_with_smp, opinion_clusters, run_deffuant
 from .scale_free import (
     SCALE_FREE_STRATEGIES,
     ScaleFreeCell,
@@ -18,12 +17,6 @@ from .scale_free import (
     seed_vertices,
 )
 from .stubborn import StubbornOutcome, stubborn_blockade, stubborn_core_experiment
-from .temporal_experiments import (
-    TemporalBatchOutcome,
-    TemporalOutcome,
-    run_temporal_dynamo,
-    run_temporal_dynamo_batch,
-)
 
 __all__ = [
     "SCALE_FREE_STRATEGIES",
@@ -38,14 +31,6 @@ __all__ = [
     "seed_vertices",
     "run_scale_free_experiment",
     "scale_free_takeover_census",
-    "DeffuantResult",
-    "run_deffuant",
-    "opinion_clusters",
-    "compare_with_smp",
-    "TemporalBatchOutcome",
-    "TemporalOutcome",
-    "run_temporal_dynamo",
-    "run_temporal_dynamo_batch",
     "StubbornOutcome",
     "stubborn_blockade",
     "stubborn_core_experiment",

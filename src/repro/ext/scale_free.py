@@ -23,6 +23,7 @@ of a BA graph than a random seed of equal size — the scale-free analogue of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -54,6 +55,7 @@ __all__ = [
     "seed_vertices",
     "run_scale_free_experiment",
     "scale_free_takeover_census",
+    "check_census_grid",
 ]
 
 #: the seeding strategies the census sweeps by default
@@ -221,6 +223,32 @@ class ScaleFreeCensus:
     run_stats: RunStats = field(default_factory=RunStats)
 
 
+def check_census_grid(
+    n: int, m_attach: int, num_colors: int, seed_fractions: Sequence[float]
+) -> None:
+    """Reject a census grid no BA graph or seed set can realise.
+
+    Raises :class:`ValueError` unless ``1 <= m_attach < n`` (the
+    Barabási–Albert bound), ``num_colors >= 2`` (a target color plus at
+    least one other) and every seed fraction is finite and in ``(0, 1]``.
+    The CLI runs the same check right after parsing, so a bad flag is a
+    usage error rather than a traceback or a cell labelled with a
+    fraction that was never seeded.
+    """
+    if not 1 <= m_attach < n:
+        raise ValueError(
+            f"m_attach must satisfy 1 <= m_attach < n, got "
+            f"m_attach={m_attach}, n={n}"
+        )
+    if num_colors < 2:
+        raise ValueError("the census needs at least 2 colors")
+    for fraction in seed_fractions:
+        if not (math.isfinite(fraction) and 0 < fraction <= 1):
+            raise ValueError(
+                f"seed fractions must lie in (0, 1], got {fraction!r}"
+            )
+
+
 def _fraction_tag(seed_fraction: float) -> int:
     """Integer seed material for a seed fraction (micro-units)."""
     return int(round(float(seed_fraction) * 1_000_000))
@@ -336,8 +364,7 @@ def scale_free_takeover_census(
     n = validate_positive(n, flag="n")
     graphs = validate_positive(graphs, flag="graphs")
     replicas = validate_positive(replicas, flag="replicas")
-    if num_colors < 2:
-        raise ValueError("the census needs at least 2 colors")
+    check_census_grid(n, m_attach, num_colors, seed_fractions)
     if max_rounds is None:
         max_rounds = 4 * n + 64
     for strategy in strategies:

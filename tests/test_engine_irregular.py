@@ -24,12 +24,7 @@ from repro.rules import (
     LinearThresholdRule,
     OrderedIncrementRule,
 )
-from repro.topology import (
-    AlwaysAvailable,
-    GraphTopology,
-    TemporalTopology,
-    ToroidalMesh,
-)
+from repro.topology import GraphTopology, ToroidalMesh
 
 RESULT_FIELDS = (
     "final", "rounds", "converged", "cycle_length", "fixed_point_round",
@@ -177,14 +172,8 @@ def test_structure_token_is_content_addressed():
     # shape is part of the hash: same bytes, different table width, differ
     assert (GraphTopology([(0, 1)]).structure_token()
             != GraphTopology([(0, 1), (1, 2)]).structure_token())
-
-
-def test_structure_token_default_and_temporal_delegation():
-    torus = ToroidalMesh(4, 4)
-    assert torus.structure_token() is None
-    graph = _same_ba()
-    ttopo = TemporalTopology(graph, AlwaysAvailable())
-    assert ttopo.structure_token() == graph.structure_token()
+    # the base class publishes no token (tori are keyed upstream)
+    assert ToroidalMesh(4, 4).structure_token() is None
 
 
 def test_topology_token_uses_structure_token():

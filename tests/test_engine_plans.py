@@ -32,7 +32,6 @@ from repro.engine import (
     resolve_plan,
     run_batch,
     run_synchronous,
-    run_temporal,
     validate_round_cap,
 )
 from repro.engine.backends import available_backend_names
@@ -47,12 +46,7 @@ from repro.rules import (
     Rule,
     SMPRule,
 )
-from repro.topology import (
-    AlwaysAvailable,
-    BernoulliAvailability,
-    TemporalTopology,
-    ToroidalMesh,
-)
+from repro.topology import ToroidalMesh
 
 from helpers import TORUS_KINDS
 
@@ -520,7 +514,7 @@ def test_escalation_budgets_schedule():
 
 
 # ----------------------------------------------------------------------
-# the shared round-cap validator (batch / scalar / temporal agree)
+# the shared round-cap validator (batch and scalar agree)
 # ----------------------------------------------------------------------
 def test_validate_round_cap_shared_semantics():
     topo = ToroidalMesh(3, 3)
@@ -535,12 +529,9 @@ def test_all_drivers_reject_negative_caps_and_accept_zero(rng):
     topo = ToroidalMesh(3, 3)
     colors = rng.integers(0, 3, size=9).astype(np.int32)
     batch = colors[None, :]
-    ttopo = TemporalTopology(topo, AlwaysAvailable())
-    plurality = GeneralizedPluralityRule(3)
     for call in (
         lambda mr: run_batch(topo, batch, SMPRule(), max_rounds=mr),
         lambda mr: run_synchronous(topo, colors, SMPRule(), max_rounds=mr),
-        lambda mr: run_temporal(ttopo, colors, plurality, max_rounds=mr),
     ):
         with pytest.raises(ValueError, match="max_rounds"):
             call(-1)
@@ -548,14 +539,3 @@ def test_all_drivers_reject_negative_caps_and_accept_zero(rng):
         final = res.final if res.final.ndim == 1 else res.final[0]
         assert np.array_equal(final, colors)
 
-
-def test_temporal_default_cap_is_the_shared_budget():
-    """run_temporal's magic 10_000 is gone: a never-converging run under
-    the default cap stops at default_round_cap(topo)."""
-    topo = ToroidalMesh(4, 4)
-    rng = np.random.default_rng(3)
-    ttopo = TemporalTopology(topo, BernoulliAvailability(0.0, rng))
-    colors = (np.arange(16) % 3).astype(np.int32)
-    res = run_temporal(ttopo, colors, GeneralizedPluralityRule(3))
-    assert not res.converged
-    assert res.rounds == default_round_cap(topo)

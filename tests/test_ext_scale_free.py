@@ -161,3 +161,38 @@ def test_census_validates_inputs():
         scale_free_takeover_census(n=20, num_colors=1)
     with pytest.raises(ValueError, match="must be"):
         scale_free_takeover_census(n=0)
+
+
+@pytest.mark.parametrize(
+    "flags, kwargs, message",
+    [
+        (["--fractions", "-0.5"], {"seed_fractions": (-0.5,)}, "seed fractions"),
+        (["--fractions", "nan"], {"seed_fractions": (float("nan"),)},
+         "seed fractions"),
+        (["--fractions", "0"], {"seed_fractions": (0.0,)}, "seed fractions"),
+        (["--fractions", "0.05", "1.5"], {"seed_fractions": (0.05, 1.5)},
+         "seed fractions"),
+        (["--colors", "1"], {"num_colors": 1}, "at least 2 colors"),
+        (["--m-attach", "40", "--n", "30"], {"m_attach": 40, "n": 30},
+         "m_attach"),
+    ],
+    ids=["negative-fraction", "nan-fraction", "zero-fraction",
+         "fraction-above-one", "one-color", "m-attach-not-below-n"],
+)
+def test_bad_census_grid_is_rejected_up_front(tmp_path, capsys, flags, kwargs,
+                                              message):
+    """An unrealisable grid is a ValueError from the library and a usage
+    error (exit 2) from the CLI — never a traceback, and never a cell
+    recorded under a fraction that was not seeded."""
+    from repro.cli import main
+    from repro.ext import scale_free_takeover_census
+
+    with pytest.raises(ValueError, match=message):
+        scale_free_takeover_census(**{"n": 20, **kwargs})
+    db = tmp_path / "w.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["scale-free", "--graphs", "1", "--replicas", "2",
+              "--db", str(db), *flags])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not db.exists()

@@ -179,6 +179,32 @@ def test_cli_rejects_negative_processes(capsys):
     capsys.readouterr()  # drain the usage message
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "mesh", "2", "2"],
+        ["verify", "mesh", "1", "1"],
+        ["matrix", "mesh", "-1", "5"],
+        ["simulate", "cordalis", "0", "4"],
+        ["sweep", "mesh", "-4"],
+        ["sweep", "mesh", "-4", "--convergence"],
+        ["async", "mesh", "0", "0"],
+        ["sweep", "mesh", "4", "--convergence", "--replicas", "0"],
+        ["sweep", "mesh", "4", "--convergence", "--replicas", "-3"],
+        ["sweep", "mesh", "4", "--convergence", "--colors", "0"],
+    ],
+    ids="_".join,
+)
+def test_cli_unbuildable_sizes_are_usage_errors(capsys, argv):
+    """A size the construction (or torus) refuses exits 2 with the
+    constructor's own message instead of a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        _run_cli(argv, capsys)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_cli_simulate_nonconvergent_exit_code(tmp_path, capsys):
     # a frozen non-dynamo still converges (fixed point) -> exit 0; but a
     # capped run that never settles exits 1

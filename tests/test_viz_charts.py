@@ -42,14 +42,17 @@ def test_series_table_alignment():
     assert len(widths) == 1  # perfectly aligned
 
 
-def test_adoption_curve_charts_integrate():
+def test_adoption_charts_from_trajectory():
     from repro.core import theorem4_cordalis_dynamo
-    from repro.engine import adoption_curve, run_synchronous
+    from repro.engine import run_synchronous
     from repro.rules import SMPRule
 
     con = theorem4_cordalis_dynamo(5, 5)
-    res = run_synchronous(con.topo, con.colors, SMPRule(), target_color=con.k)
-    curve = adoption_curve(res, con.k)
+    res = run_synchronous(
+        con.topo, con.colors, SMPRule(), target_color=con.k, record=True
+    )
+    curve = [int((state == con.k).sum()) for state in res.trajectory]
+    assert curve[0] == con.seed_size and curve[-1] == con.topo.num_vertices
     assert len(sparkline(curve)) == len(curve)
     chart = ascii_line_chart(curve, height=6)
     assert chart.count("\n") == 6
